@@ -34,6 +34,7 @@ from .orbit_model import (
     OrbitLabel,
     ClosurePoset,
     LabelParseError,
+    NotGradedError,
     label_str,
     parse_label,
     strata,
@@ -59,6 +60,7 @@ from .oracle import (
     move_trace,
     replay_moves,
     subword_closure_same_stratum,
+    GeneratorCycleError,
     oracle_poset,
     compare_posets,
 )

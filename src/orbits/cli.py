@@ -1,7 +1,8 @@
 """Command-line surface: enumerate, poset, compare, components, verify, matrix.
 
-Exit codes: 0 success, 1 verification diff, 2 config error, 3 label
-parse/canonicality error.  Output is deterministic for a fixed invocation.
+Exit codes: 0 success, 1 verification diff, 2 config error or out of
+memory, 3 label parse/canonicality error.  Output is deterministic for a
+fixed invocation.
 
 The group is chosen by --type (named Cartan type, products via "x":
 A1, A2, B2, G2, A3, A1xA1, ...) or --group pointing at a JSON file
@@ -25,6 +26,7 @@ from .coxeter import CapExceeded, DEFAULT_CAP, cartan_matrix, system_from_spec, 
 from .orbit_model import (
     ClosurePoset,
     LabelParseError,
+    NotGradedError,
     closure_leq_witness,
     closure_poset,
     enumerate_orbits,
@@ -32,7 +34,7 @@ from .orbit_model import (
     label_str,
     parse_label,
 )
-from .oracle import compare_posets, oracle_poset
+from .oracle import GeneratorCycleError, compare_posets, oracle_poset
 from . import matrix_model
 
 __all__ = ["RunConfig", "main"]
@@ -194,18 +196,30 @@ def _matrix_n(rs):
 
 
 def _verify_poset(rs, cap, inject_fault):
+    """Formula poset against the move oracle, plus the grading check that the
+    Hasse diagram relies on.  A failed check is reported, not raised."""
     formula = closure_poset(rs, cap=cap)
-    oracle = oracle_poset(rs, cap=cap)
-    if inject_fault:
-        idx = np.argwhere(oracle.leq & ~np.eye(len(oracle.labels), dtype=bool))
-        i, j = idx[0]
-        oracle.leq[i, j] = False
-    diff = compare_posets(formula, oracle)
-    return {
-        "status": "PASS" if not diff else "FAIL",
-        "labels": len(formula.labels),
-        "diff": diff,
-    }
+    report = {"labels": len(formula.labels), "diff": []}
+    try:
+        formula.hasse
+    except NotGradedError as e:
+        report["not_graded"] = {
+            "pair": [label_str(L) for L in e.pair],
+            "error": str(e),
+        }
+    try:
+        oracle = oracle_poset(rs, cap=cap)
+    except GeneratorCycleError as e:
+        report["oracle_cycle"] = [label_str(L) for L in e.cycle]
+    else:
+        if inject_fault:
+            idx = np.argwhere(oracle.leq & ~np.eye(len(oracle.labels), dtype=bool))
+            i, j = idx[0]
+            oracle.leq[i, j] = False
+        report["diff"] = compare_posets(formula, oracle)
+    failed = report["diff"] or "not_graded" in report or "oracle_cycle" in report
+    report["status"] = "FAIL" if failed else "PASS"
+    return report
 
 
 def _verify_matrix(n, q):
@@ -356,6 +370,9 @@ def main(argv=None):
         return 3
     except CapExceeded as e:
         print("error: %s" % e, file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        print("error: out of memory: %s" % (str(e) or "allocation failed"), file=sys.stderr)
         return 2
     except (ConfigError, ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)

@@ -265,7 +265,12 @@ class RootSystem:
         return self._orbits
 
     def tables(self, cap=DEFAULT_CAP):
-        """Indexed tables over the full (enumerated) group; cached."""
+        """Indexed tables over the full (enumerated) group; cached.
+
+        Raises CapExceeded when the group has more than `cap` elements, also
+        when the tables were built earlier under a larger cap.
+        """
+        enumerate_group(self, cap)
         if self._tables is None:
             self._tables = WeylTables(self, cap)
         return self._tables

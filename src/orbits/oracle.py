@@ -47,6 +47,7 @@ __all__ = [
     "move_trace",
     "replay_moves",
     "subword_closure_same_stratum",
+    "GeneratorCycleError",
     "oracle_poset",
     "compare_posets",
 ]
@@ -125,18 +126,27 @@ def subword_closure_same_stratum(O2, alternate=False):
     return reach
 
 
+class GeneratorCycleError(ValueError):
+    """The oracle's generator edges contain a cycle; .cycle lists its labels,
+    each below the next and the last below the first."""
+
+    def __init__(self, message, cycle):
+        super().__init__(message)
+        self.cycle = cycle
+
+
 def oracle_poset(rs, cap=DEFAULT_CAP, alternate=False):
     """Closure poset rebuilt from moves + degenerations + transitivity only.
 
     Generators of the relation: (a) within each stratum, O1 <= O2 whenever O1
     is in subword_closure_same_stratum(O2); (b) L <= O for every intersection
-    component L of O at a codimension-one smaller stratum.  The matrix is then
-    closed transitively.
+    component L of O at a codimension-one smaller stratum.  The generators are
+    then closed transitively in one pass (_transitive_closure).
     """
     labels = enumerate_orbits(rs, cap=cap)
     n = len(labels)
     index = {L: i for i, L in enumerate(labels)}
-    leq = np.eye(n, dtype=bool)
+    gen = np.zeros((n, n), dtype=bool)
 
     # (a) within-stratum subword saturation, one DP per target label
     by_stratum = {}
@@ -159,43 +169,80 @@ def oracle_poset(rs, cap=DEFAULT_CAP, alternate=False):
             for move in _moves_for(L, alternate):
                 reach[trans[move][reach]] = True
             src = [index[stratum_labels[k]] for k in np.nonzero(reach)[0]]
-            leq[src, index[L]] = True
+            gen[src, index[L]] = True
 
     # (b) degeneration edges into each codimension-one smaller stratum
     for L in labels:
         for j in L.I:
             I = tuple(i for i in L.I if i != j)
             for C in intersection_components(L, I, cap):
-                leq[index[C], index[L]] = True
+                gen[index[C], index[L]] = True
 
-    # transitive closure by repeated boolean squaring
+    np.fill_diagonal(gen, False)  # (a) puts each label below itself
+    return ClosurePoset(labels, _transitive_closure(gen, labels))
+
+
+def _transitive_closure(gen, labels):
+    """Reflexive-transitive closure of the strict generators gen[i, j] (i below j).
+
+    One pass in reverse topological order of the generator graph (Kahn's
+    algorithm): each label's up-set is its own bit OR the bit-packed up-sets
+    of its generator successors, which are all final by then.  A cycle among
+    the generators raises GeneratorCycleError.
+    """
+    n = len(labels)
+    succ = [np.flatnonzero(row) for row in gen]
+    indegree = np.count_nonzero(gen, axis=0)
+    order = list(np.flatnonzero(indegree == 0))
+    for i in order:
+        js = succ[i]
+        indegree[js] -= 1
+        order.extend(js[indegree[js] == 0])
+    if len(order) < n:
+        cycle = [labels[i] for i in _find_cycle(gen, indegree > 0)]
+        raise GeneratorCycleError(
+            "oracle generator edges form a cycle: %s"
+            % " <= ".join(label_str(L) for L in cycle + cycle[:1]),
+            cycle,
+        )
+    up = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
+    for i in reversed(order):
+        js = succ[i]
+        if len(js):
+            up[i] = np.bitwise_or.reduce(up[js], axis=0)
+        up[i, i >> 3] |= 0x80 >> (i & 7)
+    return np.unpackbits(up, axis=1, count=n).view(bool)
+
+
+def _find_cycle(gen, left):
+    """A cycle inside `left`, the labels Kahn's algorithm could not order:
+    each of them has a generator predecessor in `left`, so walking back from
+    any of them must repeat."""
+    path = [int(np.flatnonzero(left)[0])]
+    seen = {path[0]: 0}
     while True:
-        more = (leq.astype(np.float32) @ leq.astype(np.float32)) > 0.5
-        more |= leq
-        if (more == leq).all():
-            break
-        leq = more
-
-    return ClosurePoset(labels, leq)
+        i = int(np.flatnonzero(gen[:, path[-1]] & left)[0])
+        if i in seen:
+            return path[seen[i]:][::-1]
+        seen[i] = len(path)
+        path.append(i)
 
 
 def compare_posets(p1, p2):
     """Ordered pairs present in exactly one of the two posets (empty iff equal).
 
-    Returns a list of {"below", "above", "only_in"} records; raises if the
-    label universes differ.
+    Returns a list of {"below", "above", "only_in"} records in row-major
+    order of the label indices; raises if the label universes differ.
     """
     if p1.labels != p2.labels:
         raise ValueError("posets are over different label universes")
-    diff = []
-    r1, r2 = p1.relation_pairs(), p2.relation_pairs()
-    for i, j in sorted(r1 ^ r2):
-        where = "first" if (i, j) in r1 else "second"
-        diff.append(
-            {
-                "below": label_str(p1.labels[i]),
-                "above": label_str(p1.labels[j]),
-                "only_in": where,
-            }
-        )
-    return diff
+    diff = p1.leq ^ p2.leq
+    np.fill_diagonal(diff, False)
+    return [
+        {
+            "below": label_str(p1.labels[i]),
+            "above": label_str(p1.labels[j]),
+            "only_in": "first" if p1.leq[i, j] else "second",
+        }
+        for i, j in np.argwhere(diff)
+    ]

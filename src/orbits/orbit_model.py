@@ -32,6 +32,7 @@ l(sigma rho) = l(sigma rho v) + l(v): the component labeled by canonicalizing
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -61,6 +62,7 @@ __all__ = [
     "RIGHT",
     "OrbitLabel",
     "ClosurePoset",
+    "NotGradedError",
     "LabelParseError",
     "strata",
     "enumerate_orbits",
@@ -467,23 +469,86 @@ def intersection_components(O, I, cap=DEFAULT_CAP):
     return out
 
 
+class NotGradedError(ValueError):
+    """The closure order is not graded by split_dimension; .pair holds the two
+    labels the message is about."""
+
+    def __init__(self, message, pair):
+        super().__init__(message)
+        self.pair = pair
+
+
 class ClosurePoset:
     """All labels of one group plus the closure partial order.
 
     labels are in canonical order; leq is a boolean matrix (leq[i, j] says
     labels[i] <= labels[j]); hasse holds the covering pairs (i, j), i covered
-    by j, i.e. the transitive reduction.
+    by j, i.e. the transitive reduction, computed on first use.
     """
 
     def __init__(self, labels, leq):
         self.labels = tuple(labels)
         self.leq = leq
         self._index = {L: i for i, L in enumerate(self.labels)}
-        strict = leq & ~np.eye(len(self.labels), dtype=bool)
-        two_step = (strict.astype(np.float32) @ strict.astype(np.float32)) > 0.5
-        cover = strict & ~two_step
-        self.hasse = tuple(
-            (int(i), int(j)) for i, j in np.argwhere(cover)
+
+    @functools.cached_property
+    def hasse(self):
+        """Covering pairs (i, j) in row-major order, read off the grading.
+
+        split_dimension grades the order: every strict relation raises it,
+        every cover raises it by exactly 1, and all minimal (all maximal)
+        labels share one dimension.  So the covers are the relations between
+        consecutive dimension levels.  The grading is checked, not assumed:
+        the order is rebuilt from those covers, one bit-packed row (up-set)
+        per label in decreasing dimension, and must equal leq; otherwise, or
+        when two minimal or two maximal labels differ in dimension,
+        NotGradedError names the pair.
+        """
+        n = len(self.labels)
+        dims = np.array([split_dimension(L) for L in self.labels], dtype=np.int64)
+        levels = {d: np.flatnonzero(dims == d) for d in np.unique(dims)}
+        edges = [np.empty((0, 2), dtype=np.int64)]
+        for d, lower in levels.items():
+            if d + 1 in levels:
+                upper = levels[d + 1]
+                below, above = np.nonzero(self.leq[np.ix_(lower, upper)])
+                edges.append(np.stack([lower[below], upper[above]], axis=1))
+        edges = np.concatenate(edges)
+        edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+
+        starts = np.searchsorted(edges[:, 0], np.arange(n + 1))
+        want = np.packbits(self.leq, axis=1)
+        got = np.zeros_like(want)
+        for i in np.argsort(-dims, kind="stable"):
+            js = edges[starts[i]:starts[i + 1], 1]
+            if len(js):
+                got[i] = np.bitwise_or.reduce(got[js], axis=0)
+            got[i, i >> 3] |= 0x80 >> (i & 7)
+        if not np.array_equal(got, want):
+            i = int(np.flatnonzero((got != want).any(axis=1))[0])
+            j = int(np.flatnonzero(np.unpackbits(got[i] ^ want[i], count=n))[0])
+            if self.leq[i, j]:
+                what = "%s <= %s holds but the dimension-one covers do not generate it"
+            else:
+                what = "the dimension-one covers generate %s <= %s but it does not hold"
+            raise self._not_graded(i, j, what)
+
+        for ends, kind in ((edges[:, 1], "minimal"), (edges[:, 0], "maximal")):
+            extreme = np.ones(n, dtype=bool)
+            extreme[ends] = False
+            extreme = np.flatnonzero(extreme)
+            odd = extreme[dims[extreme] != dims[extreme[0]]]
+            if len(odd):
+                what = "%s and %s are both " + kind + " but differ in dimension"
+                raise self._not_graded(extreme[0], odd[0], what)
+        return tuple((int(i), int(j)) for i, j in edges)
+
+    def _not_graded(self, i, j, what):
+        pair = (self.labels[i], self.labels[j])
+        return NotGradedError(
+            "closure order is not graded by split_dimension: "
+            + what % (label_str(pair[0]), label_str(pair[1])),
+            pair,
         )
 
     def index(self, label):
@@ -492,15 +557,10 @@ class ClosurePoset:
     def leq_labels(self, O1, O2):
         return bool(self.leq[self._index[O1], self._index[O2]])
 
-    def relation_pairs(self):
-        """The full strict relation as a set of index pairs (i < j in the order)."""
-        strict = self.leq & ~np.eye(len(self.labels), dtype=bool)
-        return {(int(i), int(j)) for i, j in np.argwhere(strict)}
-
     def to_json_obj(self):
         return {
             "labels": [label_str(L) for L in self.labels],
-            "hasse": [list(e) for e in sorted(self.hasse)],
+            "hasse": [list(e) for e in self.hasse],
         }
 
     def to_json(self):
@@ -517,7 +577,7 @@ class ClosurePoset:
             lines.append(
                 "  { rank=same; %s }" % " ".join("n%d;" % i for i in dims[d])
             )
-        for i, j in sorted(self.hasse):
+        for i, j in self.hasse:
             lines.append("  n%d -> n%d;" % (i, j))
         lines.append("}")
         return "\n".join(lines) + "\n"

@@ -7,9 +7,17 @@ import sys
 
 import pytest
 
+from orbits import cli
 from orbits.cli import main
 from orbits.coxeter import build_root_system, cartan_matrix
-from orbits.orbit_model import enumerate_orbits, label_str, parse_label
+from orbits.orbit_model import (
+    ClosurePoset,
+    closure_poset,
+    enumerate_orbits,
+    label_str,
+    parse_label,
+)
+from orbits.oracle import GeneratorCycleError
 
 A1_LINES = [
     "I=[];sigma=e;tau=e;rho=e",
@@ -212,6 +220,42 @@ def test_verify_inject_fault_fails(capsys):
     assert set(entry) == {"below", "above", "only_in"}
 
 
+def test_verify_reports_ungraded_formula_poset(capsys, monkeypatch):
+    def ungraded(rs, cap):
+        p = closure_poset(rs, cap=cap)
+        leq = p.leq.copy()
+        i, j, k = next(
+            (i, j, k) for i, j in p.hasse for a, k in p.hasse if a == j
+        )
+        leq[i, k] = False  # no longer transitive
+        return ClosurePoset(p.labels, leq)
+
+    monkeypatch.setattr(cli, "closure_poset", ungraded)
+    rc, out, _ = run_main(capsys, "verify", "--type", "A1", "--suite", "poset")
+    assert rc == 1
+    lines = out.splitlines()
+    assert lines[0] == "FAIL"
+    poset = json.loads("\n".join(lines[1:]))["suites"]["poset"]
+    assert poset["status"] == "FAIL"
+    pair = poset["not_graded"]["pair"]
+    assert len(pair) == 2 and all(name in A1_LINES for name in pair)
+    assert pair[0] in poset["not_graded"]["error"]
+
+
+def test_verify_reports_oracle_cycle(capsys, monkeypatch):
+    def cyclic(rs, cap):
+        raise GeneratorCycleError("cycle", enumerate_orbits(rs)[:2])
+
+    monkeypatch.setattr(cli, "oracle_poset", cyclic)
+    rc, out, _ = run_main(capsys, "verify", "--type", "A1", "--suite", "poset")
+    assert rc == 1
+    lines = out.splitlines()
+    assert lines[0] == "FAIL"
+    poset = json.loads("\n".join(lines[1:]))["suites"]["poset"]
+    assert poset["oracle_cycle"] == A1_LINES[:2]
+    assert poset["diff"] == []
+
+
 def test_verify_matrix_a2_is_honest_about_n3(capsys):
     rc, out, _ = run_main(capsys, "verify", "--type", "A2", "--suite", "matrix")
     assert rc == 1
@@ -284,6 +328,17 @@ def test_cap_flag_beats_env(capsys, monkeypatch):
     monkeypatch.setenv("ORBITS_CAP", "2")
     rc, _, _ = run_main(capsys, "enumerate", "--type", "A2", "--cap", "1000")
     assert rc == 0
+
+
+def test_out_of_memory_exits_2(capsys, monkeypatch):
+    def huge(rs, cap):
+        raise MemoryError("Unable to allocate 3.92 GiB for an array")
+
+    monkeypatch.setattr(cli, "closure_poset", huge)
+    rc, out, err = run_main(capsys, "poset", "--type", "A1")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and "3.92 GiB" in err
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------- console script

@@ -461,3 +461,12 @@ def test_cap_exceeded():
     with pytest.raises(CapExceeded):
         enumerate_group(rs2, cap=3)
     assert len(enumerate_group(rs, cap=6)) == 6
+
+
+def test_tables_respect_cap_after_caching():
+    rs = build_root_system(cartan_matrix("B2"))
+    tab = rs.tables(cap=100)
+    assert len(tab.elements) == 8
+    assert rs.tables(cap=8) is tab
+    with pytest.raises(CapExceeded, match="more than 7 elements"):
+        rs.tables(cap=7)

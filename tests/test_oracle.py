@@ -19,7 +19,9 @@ from orbits.orbit_model import (
     rank1_act,
     closure_leq,
 )
+from orbits import oracle
 from orbits.oracle import (
+    GeneratorCycleError,
     MoveTrace,
     compare_posets,
     minimal_orbit,
@@ -160,7 +162,7 @@ def test_subword_closure_matches_same_stratum_closure():
 
 
 def test_oracle_poset_equals_closure_poset():
-    for name in ("A1", "A1xA1", "A2", "B2"):
+    for name in ("A1", "A1xA1", "A2", "B2", "G2", "A3"):
         rs = rs_of(name)
         assert compare_posets(closure_poset(rs), oracle_poset(rs)) == []
 
@@ -168,6 +170,19 @@ def test_oracle_poset_equals_closure_poset():
 def test_oracle_poset_alternate_words():
     rs = rs_of("B2")
     assert compare_posets(oracle_poset(rs), oracle_poset(rs, alternate=True)) == []
+
+
+def test_oracle_poset_rejects_generator_cycle(monkeypatch):
+    rs = rs_of("A1")
+    top = enumerate_orbits(rs, (0,))[0]
+    # every degeneration edge now starts at the top label, which the
+    # within-stratum moves put above the whole dense stratum: a cycle
+    monkeypatch.setattr(oracle, "intersection_components", lambda L, I, cap: [top])
+    with pytest.raises(GeneratorCycleError) as err:
+        oracle_poset(rs)
+    cycle = err.value.cycle
+    assert top in cycle and len(cycle) == 2
+    assert str(err.value).count(" <= ") == len(cycle)
 
 
 def test_rank_zero_oracle():
@@ -208,3 +223,23 @@ def test_compare_posets_reports_removed_edge():
     # and symmetrically
     diff2 = compare_posets(q, p)
     assert [d["only_in"] for d in diff2] == ["second"]
+
+
+def test_compare_posets_ignores_the_diagonal():
+    p = closure_poset(rs_of("A1"))
+    leq = p.leq.copy()
+    np.fill_diagonal(leq, False)
+    assert compare_posets(p, ClosurePoset(p.labels, leq)) == []
+
+
+def test_compare_posets_row_major_order():
+    p = closure_poset(rs_of("A2"))
+    leq = p.leq.copy()
+    flipped = [(40, 3), (2, 70), (2, 5), (40, 1), (77, 76)]
+    for i, j in flipped:
+        leq[i, j] = not leq[i, j]
+    diff = compare_posets(p, ClosurePoset(p.labels, leq))
+    names = [label_str(L) for L in p.labels]
+    assert [(names.index(d["below"]), names.index(d["above"])) for d in diff] == sorted(flipped)
+    for d, (i, j) in zip(diff, sorted(flipped)):
+        assert d["only_in"] == ("first" if p.leq[i, j] else "second")

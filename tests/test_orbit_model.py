@@ -24,6 +24,7 @@ from orbits.orbit_model import (
     RIGHT,
     ClosurePoset,
     LabelParseError,
+    NotGradedError,
     OrbitLabel,
     canonicalize,
     closure_leq,
@@ -600,16 +601,48 @@ def test_closure_poset_matches_pairwise_closure_leq():
 
 
 def test_hasse_is_transitive_reduction():
-    rs = rs_of("A2")
-    p = closure_poset(rs)
+    # brute force: i < j is a cover iff no k has i < k < j
+    for name in ("A1", "A1xA1", "A2", "B2", "G2"):
+        p = closure_poset(rs_of(name))
+        n = len(p.labels)
+        strict = p.leq & ~np.eye(n, dtype=bool)
+        covers = set()
+        for i in range(n):
+            two_step = strict[strict[i]].any(axis=0)
+            covers.update((i, int(j)) for j in np.flatnonzero(strict[i] & ~two_step))
+        assert p.hasse == tuple(sorted(covers)), name
+
+
+def test_hasse_rejects_ungraded_order():
+    p = closure_poset(rs_of("A1"))
     n = len(p.labels)
-    strict = p.leq & ~np.eye(n, dtype=bool)
-    covers = set()
-    for i in range(n):
-        for j in range(n):
-            if strict[i, j] and not any(strict[i, k] and strict[k, j] for k in range(n)):
-                covers.add((i, j))
-    assert set(map(tuple, p.hasse)) == covers
+    dims = [split_dimension(L) for L in p.labels]
+    k = next(i for i in range(n) if min(dims) < dims[i] < max(dims))
+    leq = p.leq.copy()
+    leq[k, :] = leq[:, k] = False
+    leq[k, k] = True
+    with pytest.raises(NotGradedError) as err:
+        ClosurePoset(p.labels, leq).hasse
+    assert p.labels[k] in err.value.pair
+    assert label_str(p.labels[k]) in str(err.value)
+
+
+def test_hasse_rejects_missing_transitive_relation():
+    p = closure_poset(rs_of("A2"))
+    i, j = next((i, j) for i, j in p.hasse if any(e[0] == j for e in p.hasse))
+    k = next(e[1] for e in p.hasse if e[0] == j)
+    leq = p.leq.copy()
+    leq[i, k] = False
+    with pytest.raises(NotGradedError) as err:
+        ClosurePoset(p.labels, leq).hasse
+    assert err.value.pair == (p.labels[i], p.labels[k])
+    assert "generate" in str(err.value)
+
+
+def test_hasse_is_computed_on_first_use():
+    p = closure_poset(rs_of("A1"))
+    assert "hasse" not in vars(p)
+    assert p.hasse is p.hasse
 
 
 def test_poset_is_graded_by_split_dimension():
