@@ -17,7 +17,6 @@ from .coxeter import (
     build_root_system,
     cartan_matrix,
     system_from_spec,
-    multiply,
     bruhat_leq,
     longest_element,
     coset_decompose,
@@ -50,7 +49,6 @@ from .orbit_model import (
     unique_predecessor,
     closure_leq,
     closure_leq_witness,
-    closure_leq_same_stratum,
     intersection_components,
     closure_poset,
 )
@@ -65,12 +63,9 @@ from .oracle import (
     compare_posets,
 )
 from .matrix_model import (
-    ProjPoint,
-    BorelPair,
     enumerate_points,
     orbit_partition,
     base_point_matrix,
-    label_matching,
     matching_report,
     verify_group_cells,
 )

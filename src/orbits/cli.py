@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,43 +36,11 @@ from .orbit_model import (
 from .oracle import GeneratorCycleError, compare_posets, oracle_poset
 from . import matrix_model
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass
-class RunConfig:
-    """One resolved invocation: the group, caps, format, and command parameters."""
-
-    group_type: str | None = None
-    group_file: str | None = None
-    cap: int = DEFAULT_CAP
-    fmt: str = "json"
-    out: str | None = None
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if (self.group_type is None) == (self.group_file is None):
-            raise ConfigError("exactly one of --type and --group is required")
-        if self.cap <= 0:
-            raise ConfigError("cap must be positive")
-        self._resolved = None
-
-    @property
-    def spec(self):
-        if self.group_type is not None:
-            return {"type": self.group_type}
-        with open(self.group_file) as fh:
-            return json.load(fh)
-
-    def system(self):
-        """The (RootSystem, WeightFunction) pair for this configuration."""
-        if self._resolved is None:
-            self._resolved = system_from_spec(self.spec)
-        return self._resolved
 
 
 def _default_cap():
@@ -86,16 +53,27 @@ def _default_cap():
     return DEFAULT_CAP
 
 
-def _config_from(args, **params):
+def _cap(args):
+    """--cap, else $ORBITS_CAP, else the default; it must be positive."""
     cap = args.cap if args.cap is not None else _default_cap()
-    return RunConfig(
-        group_type=getattr(args, "type", None),
-        group_file=getattr(args, "group", None),
-        cap=cap,
-        fmt=getattr(args, "format", "json"),
-        out=getattr(args, "out", None),
-        params=params,
-    )
+    if cap <= 0:
+        raise ConfigError("cap must be positive")
+    return cap
+
+
+def _group(args):
+    """The group spec named by --type or read from the --group file, and its
+    root system."""
+    if args.type is not None:
+        spec = {"type": args.type}
+    else:
+        with open(args.group) as fh:
+            try:
+                spec = json.load(fh)
+            except RecursionError:
+                raise ConfigError("group spec %r is nested too deeply" % args.group) from None
+    rs, _ = system_from_spec(spec)
+    return spec, rs
 
 
 def _parse_stratum(text, rank):
@@ -127,43 +105,43 @@ def _emit(text, out):
 
 
 def cmd_enumerate(args):
-    config = _config_from(args)
-    rs, _ = config.system()
+    cap = _cap(args)
+    _, rs = _group(args)
     J = _parse_stratum(args.stratum, rs.rank)
-    labels = enumerate_orbits(rs, J, cap=config.cap)
-    _emit("".join(label_str(O) + "\n" for O in labels), config.out)
+    labels = enumerate_orbits(rs, J, cap=cap)
+    _emit("".join(label_str(O) + "\n" for O in labels), args.out)
     return 0
 
 
 def cmd_poset(args):
-    config = _config_from(args)
-    rs, _ = config.system()
+    cap = _cap(args)
+    _, rs = _group(args)
     build = oracle_poset if args.engine == "oracle" else closure_poset
-    poset = build(rs, cap=config.cap)
-    if config.fmt == "json":
+    poset = build(rs, cap=cap)
+    if args.format == "json":
         text = poset.to_json() + "\n"
-    elif config.fmt == "dot":
+    elif args.format == "dot":
         text = poset.to_dot()
     else:
         text = poset.to_csv()
-    _emit(text, config.out)
+    _emit(text, args.out)
     return 0
 
 
 def cmd_compare(args):
-    config = _config_from(args)
-    rs, _ = config.system()
+    cap = _cap(args)
+    _, rs = _group(args)
     O1 = parse_label(rs, args.label1)
     O2 = parse_label(rs, args.label2)
     if O1 == O2:
         print("EQUAL")
         return 0
-    wit = closure_leq_witness(O1, O2, cap=config.cap)
+    wit = closure_leq_witness(O1, O2, cap=cap)
     if wit is not None:
         u, v = wit
         print("LEQ (witness u=%s, v=%s)" % (word_str(u), word_str(v)))
         return 0
-    wit = closure_leq_witness(O2, O1, cap=config.cap)
+    wit = closure_leq_witness(O2, O1, cap=cap)
     if wit is not None:
         u, v = wit
         print("GEQ (witness u=%s, v=%s)" % (word_str(u), word_str(v)))
@@ -173,17 +151,17 @@ def cmd_compare(args):
 
 
 def cmd_components(args):
-    config = _config_from(args)
-    rs, _ = config.system()
+    cap = _cap(args)
+    _, rs = _group(args)
     O = parse_label(rs, args.label)
     I = _parse_stratum(args.stratum, rs.rank)
     if I is None:
         raise ConfigError("components needs an explicit stratum, not 'all'")
     try:
-        comps = intersection_components(O, I, cap=config.cap)
+        comps = intersection_components(O, I, cap=cap)
     except ValueError as e:
         raise ConfigError(str(e))
-    _emit("".join(label_str(L) + "\n" for L in comps), config.out)
+    _emit("".join(label_str(L) + "\n" for L in comps), args.out)
     return 0
 
 
@@ -255,12 +233,12 @@ def _verify_matrix(n, q):
 
 
 def cmd_verify(args):
-    config = _config_from(args)
-    rs, _ = config.system()
+    cap = _cap(args)
+    spec, rs = _group(args)
     n = _matrix_n(rs)
     suites = {}
     if args.suite in ("poset", "all"):
-        suites["poset"] = _verify_poset(rs, config.cap, args.inject_fault)
+        suites["poset"] = _verify_poset(rs, cap, args.inject_fault)
     if args.suite == "matrix" or (args.suite == "all" and n is not None):
         if n is None:
             raise ConfigError("matrix suite needs the group to be A1 or A2")
@@ -272,7 +250,7 @@ def cmd_verify(args):
             suites["matrix(%d,%d)" % (n, q)] = _verify_matrix(n, q)
     ok = all(s["status"] == "PASS" for s in suites.values())
     print("PASS" if ok else "FAIL")
-    report = {"group": config.spec.get("type", "custom"), "suites": suites}
+    report = {"group": spec.get("type", "custom"), "suites": suites}
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0 if ok else 1
 

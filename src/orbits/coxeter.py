@@ -46,7 +46,6 @@ __all__ = [
     "build_root_system",
     "cartan_matrix",
     "system_from_spec",
-    "multiply",
     "bruhat_leq",
     "bruhat_leq_subword",
     "longest_element",
@@ -225,7 +224,6 @@ class RootSystem:
         self._simple_elements = tuple(
             WeylElement(self, self._simple_perm[i]) for i in range(self.rank)
         )
-        self._bruhat_memo = {}
         self._elements = None
         self._tables = None
         self._orbits = None
@@ -348,7 +346,7 @@ class WeylElement:
         if not isinstance(other, WeylElement):
             return NotImplemented
         if other.system is not self.system:
-            raise ValueError("cannot multiply elements of different root systems")
+            raise ValueError("elements belong to different root systems")
         pu, pv = self.perm, other.perm
         out = []
         for p in pv:
@@ -507,12 +505,20 @@ def cartan_matrix(name):
     return tuple(tuple(row) for row in out)
 
 
+def _ints(value):
+    """True iff value is a list (or tuple) of integers, bools excluded."""
+    return isinstance(value, (list, tuple)) and all(
+        isinstance(a, int) and not isinstance(a, bool) for a in value
+    )
+
+
 def system_from_spec(spec):
     """Build (RootSystem, WeightFunction) from a group-spec mapping.
 
     Either {"type": "A2"} (products via "A1xA1") or
     {"cartan": [[...]], "nonreduced": [simple indices], "weights": {root index: w}}.
     Indices in the mapping are 1-based, matching the serialized word format.
+    A spec of any other shape raises ValueError.
     """
     if not isinstance(spec, dict):
         raise ValueError("group spec must be a JSON object")
@@ -521,9 +527,16 @@ def system_from_spec(spec):
     if "type" in spec:
         rs = build_root_system(cartan_matrix(spec["type"]))
     else:
-        marks = [int(i) - 1 for i in spec.get("nonreduced", ())]
-        rs = build_root_system(spec["cartan"], marks)
-    weights = spec.get("weights")
+        cartan = spec["cartan"]
+        if not isinstance(cartan, (list, tuple)) or not all(map(_ints, cartan)):
+            raise ValueError('"cartan" must be a list of integer rows')
+        marks = spec.get("nonreduced", [])
+        if not _ints(marks):
+            raise ValueError('"nonreduced" must be a list of integers')
+        rs = build_root_system(cartan, [i - 1 for i in marks])
+    weights = spec.get("weights", {})
+    if not isinstance(weights, dict) or not _ints(list(weights.values())):
+        raise ValueError('"weights" must map root indices to integers')
     if weights:
         wf = WeightFunction.from_orbit_weights(
             rs, {int(k) - 1: v for k, v in weights.items()}
@@ -531,11 +544,6 @@ def system_from_spec(spec):
     else:
         wf = WeightFunction.unit(rs)
     return rs, wf
-
-
-def multiply(u, v):
-    """Product uv in canonical form (same parent group required)."""
-    return u * v
 
 
 def _check_same(u, w):
@@ -546,40 +554,26 @@ def _check_same(u, w):
 def bruhat_leq(u, w):
     """Bruhat order: u <= w.
 
-    One-step recursion on a left descent s of w:  with su < u compare su <= sw,
-    otherwise u <= sw.  Agrees with the subword definition (tested against
-    bruhat_leq_subword).
+    Lifting property on a right descent s of w (ws < w): u <= w iff us <= ws
+    when us < u, and iff u <= ws otherwise.  The recursion never branches, so
+    it is a loop; once l(u) >= l(w), u <= w iff u = w.  Agrees with the subword
+    definition (tested against bruhat_leq_subword).
 
     >>> rs = build_root_system(cartan_matrix("A2"))
     >>> a, b = rs.simple_reflection(0), rs.simple_reflection(1)
     >>> bruhat_leq(a, a * b), bruhat_leq(a, b)
     (True, False)
+    >>> bruhat_leq(rs.identity, a * b * a), bruhat_leq(a * b, b * a)
+    (True, False)
     """
     _check_same(u, w)
-    memo = u.system._bruhat_memo
-    stack = [(u, w)]
-    # iterative with memo to keep recursion depth away from the default limit
-    while stack:
-        uu, ww = stack[-1]
-        key = (uu.perm, ww.perm)
-        if key in memo:
-            stack.pop()
-            continue
-        if uu.length >= ww.length:
-            memo[key] = uu.perm == ww.perm
-            stack.pop()
-            continue
-        s = ww.system.simple_reflection(ww.word[0])
-        sw = s * ww
-        su = s * uu
-        sub = (su, sw) if su.length < uu.length else (uu, sw)
-        subkey = (sub[0].perm, sub[1].perm)
-        if subkey in memo:
-            memo[key] = memo[subkey]
-            stack.pop()
-        else:
-            stack.append(sub)
-    return memo[(u.perm, w.perm)]
+    while u.length < w.length:
+        i = next(i for i in range(w.system.rank) if not w.sends_positive(i))
+        s = w.system.simple_reflection(i)
+        if not u.sends_positive(i):
+            u = u * s
+        w = w * s
+    return u == w
 
 
 def bruhat_leq_subword(u, w):

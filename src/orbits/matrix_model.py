@@ -37,14 +37,11 @@ from .orbit_model import (
 )
 
 __all__ = [
-    "ProjPoint",
-    "BorelPair",
     "MatchReport",
     "GroupCellReport",
     "enumerate_points",
     "orbit_partition",
     "base_point_matrix",
-    "label_matching",
     "matching_report",
     "verify_group_cells",
     "orbit_dump",
@@ -71,32 +68,6 @@ def _normalize(rows, q):
         flat = [(c * inv) % q for c in flat]
     n = len(rows)
     return tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
-
-
-class ProjPoint:
-    """A point of P(M_n(F_q)): normalized matrix entries, hashable."""
-
-    __slots__ = ("entries", "q")
-
-    def __init__(self, rows, q):
-        norm = _normalize(rows, q)
-        if norm is None:
-            raise ValueError("the zero matrix is not a projective point")
-        self.entries = norm
-        self.q = q
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ProjPoint)
-            and other.q == self.q
-            and other.entries == self.entries
-        )
-
-    def __hash__(self):
-        return hash((self.q, self.entries))
-
-    def __repr__(self):
-        return "ProjPoint(%r, q=%d)" % (self.entries, self.q)
 
 
 def _matmul(a, b, q):
@@ -176,36 +147,6 @@ def _borel_generators(n, q, upper):
             t[i][i] = g
             gens.append(tuple(tuple(r) for r in t))
     return gens
-
-
-class BorelPair:
-    """The full upper and lower Borel subgroups of PGL_n(F_q), mod scalars.
-
-    Built by closing the generator sets under multiplication; each has
-    q^N (q-1)^(n-1) elements for N = n(n-1)/2.
-    """
-
-    def __init__(self, n, q):
-        _check_nq(n, q)
-        self.n = n
-        self.q = q
-        self.upper = self._close(_borel_generators(n, q, True))
-        self.lower = self._close(_borel_generators(n, q, False))
-
-    def _close(self, gens):
-        gens = [_normalize(g, self.q) for g in gens]
-        seen = {_normalize(_identity(self.n), self.q)}
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in gens:
-                    b = _normalize(_matmul(a, g, self.q), self.q)
-                    if b not in seen:
-                        seen.add(b)
-                        nxt.append(b)
-            frontier = nxt
-        return sorted(seen)
 
 
 def enumerate_points(n, q):
@@ -369,31 +310,6 @@ def matching_report(n, q, partition=None):
         size_mismatches=size_mismatches,
         total_points=sum(len(o) for o in orbits),
     )
-
-
-class LabelMatchingError(RuntimeError):
-    """Raised when the label -> orbit map fails to be a bijection; carries the
-    colliding label names."""
-
-    def __init__(self, report):
-        self.report = report
-        parts = []
-        for oid, names in report.collisions:
-            parts.append("orbit %d <- {%s}" % (oid, ", ".join(names)))
-        if report.unmatched_orbits:
-            parts.append("unmatched orbits: %r" % (report.unmatched_orbits,))
-        super().__init__(
-            "label matching is not a bijection (%d labels, %d orbits): %s"
-            % (report.label_count, report.orbit_count, "; ".join(parts))
-        )
-
-
-def label_matching(n, q, partition=None):
-    """The label -> orbit-index map; raises LabelMatchingError on collisions."""
-    report = matching_report(n, q, partition)
-    if not report.bijective:
-        raise LabelMatchingError(report)
-    return report.mapping
 
 
 @dataclass

@@ -78,7 +78,6 @@ __all__ = [
     "unique_predecessor",
     "closure_leq",
     "closure_leq_witness",
-    "closure_leq_same_stratum",
     "intersection_components",
     "closure_poset",
     "label_str",
@@ -183,6 +182,12 @@ def parse_label(rs, s):
         rho = parse_word(rs, rstr)
     except ValueError as e:
         raise LabelParseError("cannot parse label %r: %s" % (s, e)) from None
+    for i in I:
+        if not 0 <= i < rs.rank:
+            raise LabelParseError(
+                "cannot parse label %r: stratum index %d out of range 1..%d"
+                % (s, i + 1, rs.rank)
+            )
     suggestion = label_str(canonicalize(rs, I, sigma * rho, tau))
     for given, w, name in ((sstr, sigma, "sigma"), (tstr, tau, "tau"), (rstr, rho, "rho")):
         if given != word_str(w):
@@ -287,7 +292,7 @@ def point_count_poly(O, c=None):
     power = 2 * n - (O.sigma.length + O.rho.length) - O.tau.length
     coeffs = [0] * power + [1]
     for _ in O.I:
-        # multiply by (q - 1):  q*p  minus  p
+        # times (q - 1):  q*p  minus  p
         coeffs = [a - b for a, b in zip([0] + coeffs, coeffs + [0])]
     return tuple(coeffs)
 
@@ -437,14 +442,6 @@ def closure_leq(O1, O2, cap=DEFAULT_CAP):
     return closure_leq_witness(O1, O2, cap) is not None
 
 
-def closure_leq_same_stratum(O1, O2, cap=DEFAULT_CAP):
-    """Within one stratum: exists u in W_J with sigma1 rho1 u >= sigma2 rho2
-    and tau1 >= tau2 u^{-1}."""
-    if O1.I != O2.I:
-        raise ValueError("labels lie in different strata")
-    return closure_leq(O1, O2, cap)
-
-
 def intersection_components(O, I, cap=DEFAULT_CAP):
     """Labels of the irreducible components of closure(O) n closure(stratum I).
 
@@ -489,7 +486,6 @@ class ClosurePoset:
     def __init__(self, labels, leq):
         self.labels = tuple(labels)
         self.leq = leq
-        self._index = {L: i for i, L in enumerate(self.labels)}
 
     @functools.cached_property
     def hasse(self):
@@ -550,12 +546,6 @@ class ClosurePoset:
             + what % (label_str(pair[0]), label_str(pair[1])),
             pair,
         )
-
-    def index(self, label):
-        return self._index[label]
-
-    def leq_labels(self, O1, O2):
-        return bool(self.leq[self._index[O1], self._index[O2]])
 
     def to_json_obj(self):
         return {

@@ -157,6 +157,16 @@ def test_compare_non_canonical_label_exits_3(capsys):
     assert "canonical label: I=[2];sigma=1;tau=e;rho=e" in err
 
 
+@pytest.mark.parametrize("stratum", ["3", "0"])
+def test_compare_out_of_range_stratum_index_exits_3(capsys, stratum):
+    rc, out, err = run_main(
+        capsys, "compare", "--type", "A2",
+        "I=[%s];sigma=e;tau=e;rho=e" % stratum, "I=[];sigma=e;tau=e;rho=e",
+    )
+    assert rc == 3 and out == ""
+    assert "stratum index %s out of range 1..2" % stratum in err
+
+
 # ---------------------------------------------------------------- components
 
 
@@ -186,6 +196,15 @@ def test_components_bad_stratum(capsys):
         "I=[1];sigma=e;tau=e;rho=e", "--stratum", "[9]",
     )
     assert rc == 2 and "error" in err
+
+
+def test_components_out_of_range_stratum_index_exits_3(capsys):
+    rc, out, err = run_main(
+        capsys, "components", "--type", "A2",
+        "I=[4];sigma=e;tau=e;rho=e", "--stratum", "[]",
+    )
+    assert rc == 3 and out == ""
+    assert "stratum index 4 out of range 1..2" in err
 
 
 # ---------------------------------------------------------------- verify
@@ -313,6 +332,25 @@ def test_bad_group_file_exits_2(capsys, tmp_path):
     bad.write_text('{"cartan": [[2, 1], [1, 2]]}')
     rc, _, err = run_main(capsys, "enumerate", "--group", str(bad))
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        '{"cartan": 5}',
+        '{"cartan": [[2, null], [-1, 2]]}',
+        '{"cartan": [[2]], "nonreduced": 1}',
+        '{"type": "A2", "weights": [1, 2]}',
+        '{"type": "A2", "weights": {"1": "two"}}',
+        pytest.param("[" * 100000 + "]" * 100000, id="deeply-nested"),
+    ],
+)
+def test_malformed_group_spec_exits_2(capsys, tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(spec)
+    rc, out, err = run_main(capsys, "enumerate", "--group", str(path))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cap_env_exits_2(capsys, monkeypatch):

@@ -10,18 +10,16 @@ import pytest
 
 from orbits.coxeter import build_root_system, cartan_matrix
 from orbits.matrix_model import (
-    BorelPair,
-    LabelMatchingError,
-    ProjPoint,
     base_point_matrix,
     enumerate_points,
-    label_matching,
     matching_report,
     orbit_partition,
     representative_point,
     verify_group_cells,
     orbit_dump,
+    _borel_generators,
     _det,
+    _identity,
     _inv_mat,
     _matmul,
     _normalize,
@@ -39,16 +37,6 @@ def test_normalization():
     assert _normalize(_normalize(m, 3), 3) == _normalize(m, 3)  # idempotent
     # scalar multiples collapse
     assert _normalize(((2, 0), (0, 2)), 5) == _normalize(((1, 0), (0, 1)), 5)
-
-
-def test_proj_point():
-    p = ProjPoint(((2, 0), (0, 2)), 5)
-    assert p.entries == ((1, 0), (0, 1))
-    assert p == ProjPoint(((3, 0), (0, 3)), 5)
-    assert hash(p) == hash(ProjPoint(((4, 0), (0, 4)), 5))
-    assert p != ProjPoint(((1, 0), (0, 1)), 3)
-    with pytest.raises(ValueError):
-        ProjPoint(((0, 0), (0, 0)), 5)
 
 
 def test_enumerate_points_counts():
@@ -80,23 +68,40 @@ def test_field_linear_algebra():
 # ---------------------------------------------------------------- Borel pairs
 
 
+def _borel(n, q, upper):
+    """The upper (or lower) Borel subgroup of PGL_n(F_q): the closure of its
+    generators under multiplication, as sorted normalized matrices."""
+    gens = [_normalize(g, q) for g in _borel_generators(n, q, upper)]
+    seen = {_normalize(_identity(n), q)}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                b = _normalize(_matmul(a, g, q), q)
+                if b not in seen:
+                    seen.add(b)
+                    nxt.append(b)
+        frontier = nxt
+    return sorted(seen)
+
+
 def test_borel_pair_sizes():
     for n, q in ((2, 2), (2, 3), (2, 5), (3, 2), (3, 3)):
-        bp = BorelPair(n, q)
         expected = q ** (n * (n - 1) // 2) * (q - 1) ** (n - 1)
-        assert len(bp.upper) == expected
-        assert len(bp.lower) == expected
+        assert len(_borel(n, q, True)) == expected
+        assert len(_borel(n, q, False)) == expected
 
 
 def test_borel_pair_closed_under_multiplication():
-    bp = BorelPair(2, 3)
-    upper = set(bp.upper)
-    for a in bp.upper:
-        for b in bp.upper:
-            assert _normalize(_matmul(a, b, 3), 3) in upper
+    upper, lower = _borel(2, 3, True), _borel(2, 3, False)
+    upper_set = set(upper)
+    for a in upper:
+        for b in upper:
+            assert _normalize(_matmul(a, b, 3), 3) in upper_set
     # triangularity
-    assert all(m[1][0] == 0 for m in bp.upper)
-    assert all(m[0][1] == 0 for m in bp.lower)
+    assert all(m[1][0] == 0 for m in upper)
+    assert all(m[0][1] == 0 for m in lower)
 
 
 # ---------------------------------------------------------------- base points
@@ -148,7 +153,10 @@ def test_label_matching_bijective_n2():
     for q in (2, 3):
         partition = orbit_partition(2, q)
         orbits, _ = partition
-        mapping = label_matching(2, q, partition)
+        report = matching_report(2, q, partition)
+        assert report.bijective
+        assert report.collisions == []
+        mapping = report.mapping
         assert len(mapping) == 6
         assert sorted(mapping.values()) == sorted(range(6))
         for O, oid in mapping.items():
@@ -158,7 +166,9 @@ def test_label_matching_bijective_n2():
 def test_label_matching_worked_examples():
     partition = orbit_partition(2, 2)
     orbits, _ = partition
-    by_name = {label_str(O): oid for O, oid in label_matching(2, 2, partition).items()}
+    report = matching_report(2, 2, partition)
+    assert report.bijective
+    by_name = {label_str(O): oid for O, oid in report.mapping.items()}
     # the dense orbit is the 4-point orbit of the identity
     oid = by_name["I=[1];sigma=e;tau=e;rho=e"]
     assert len(orbits[oid]) == 4
@@ -169,8 +179,11 @@ def test_label_matching_worked_examples():
 
 
 def test_orbit_sizes_q3():
-    mapping = label_matching(2, 3)
-    orbits, _ = orbit_partition(2, 3)
+    partition = orbit_partition(2, 3)
+    orbits, _ = partition
+    report = matching_report(2, 3, partition)
+    assert report.bijective
+    mapping = report.mapping
     sizes = sorted((len(orbits[oid]) for oid in mapping.values()), reverse=True)
     assert sizes == [18, 9, 6, 3, 3, 1]
 
@@ -186,6 +199,7 @@ def test_matching_report_3_2_collisions():
     # exactly 9 collision orbits, each absorbing 6 labels; they are the
     # rank-1 locus (a product of two projective planes), cell sizes q^{a+b}
     assert len(report.collisions) == 9
+    assert any("I=[];sigma=e;tau=e;rho=e" in names for _, names in report.collisions)
     assert all(len(names) == 6 for _, names in report.collisions)
     coll_sizes = sorted(len(orbits[oid]) for oid, _ in report.collisions)
     assert coll_sizes == [1, 2, 2, 4, 4, 4, 8, 8, 16]
@@ -199,14 +213,6 @@ def test_matching_report_3_2_collisions():
     assert len(set(injective.values())) == 24
     for O, oid in injective.items():
         assert len(orbits[oid]) == poly_eval(point_count_poly(O), 2)
-
-
-def test_label_matching_3_2_raises_with_collisions():
-    with pytest.raises(LabelMatchingError) as exc:
-        label_matching(3, 2)
-    assert "not a bijection" in str(exc.value)
-    assert "I=[];sigma=e;tau=e;rho=e" in str(exc.value)
-    assert exc.value.report.orbit_count == 33
 
 
 def test_representative_independence():

@@ -28,7 +28,6 @@ from orbits.orbit_model import (
     OrbitLabel,
     canonicalize,
     closure_leq,
-    closure_leq_same_stratum,
     closure_leq_witness,
     closure_poset,
     codim,
@@ -446,28 +445,12 @@ def test_closure_leq_worked_examples():
     u, v = closure_leq_witness(O1, O2)
     assert (word_str(u), word_str(v)) == ("e", "1")
     assert not closure_leq(OrbitLabel((), e, e, e), O2)
-
-
-def test_closure_same_stratum_delta_examples():
-    rs = rs_of("A1")
-    e, s = rs.identity, rs.simple_reflection(0)
-    hi = OrbitLabel((0,), e, e, e)
+    # within the dense stratum
     lo = OrbitLabel((0,), e, e, s)
-    assert closure_leq_same_stratum(lo, hi)
-    assert not closure_leq_same_stratum(hi, lo)
-    assert closure_leq_same_stratum(lo, lo)
-    with pytest.raises(ValueError):
-        closure_leq_same_stratum(OrbitLabel((), e, e, e), hi)
-
-
-def test_closure_leq_specializes_to_same_stratum():
-    for name in ("A2", "B2"):
-        rs = rs_of(name)
-        for J in all_subsets(rs.rank):
-            labels = enumerate_orbits(rs, J)
-            for O1 in labels:
-                for O2 in labels:
-                    assert closure_leq(O1, O2) == closure_leq_same_stratum(O1, O2)
+    assert closure_leq(lo, dense)
+    assert not closure_leq(dense, lo)
+    assert closure_leq(lo, lo)
+    assert not closure_leq(dense, OrbitLabel((), e, e, e))
 
 
 def test_closure_requires_stratum_inclusion():

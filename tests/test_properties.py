@@ -1,0 +1,143 @@
+"""Property-based tests: label parsing and canonicalization, Cartan validation,
+group-spec validation.  Runs are derandomized, so every run draws the same
+examples."""
+
+from hypothesis import given, settings, strategies as st
+
+from orbits.coxeter import (
+    build_root_system,
+    cartan_matrix,
+    enumerate_group,
+    in_parabolic,
+    system_from_spec,
+)
+from orbits.orbit_model import (
+    LabelParseError,
+    canonicalize,
+    enumerate_orbits,
+    label_str,
+    parse_label,
+)
+
+SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+TYPES = ("A1", "A1xA1", "A2", "B2", "G2", "A3")
+SYSTEMS = {name: build_root_system(cartan_matrix(name)) for name in TYPES}
+LABELS = {name: enumerate_orbits(rs) for name, rs in SYSTEMS.items()}
+
+
+# ---------------------------------------------------------------- labels
+
+
+@SETTINGS
+@given(st.data())
+def test_label_round_trip_and_canonical_fixed_point(data):
+    name = data.draw(st.sampled_from(TYPES))
+    rs = SYSTEMS[name]
+    O = data.draw(st.sampled_from(LABELS[name]))
+    assert parse_label(rs, label_str(O)) == O
+    assert canonicalize(rs, O.I, O.sigma * O.rho, O.tau) == O
+
+
+@SETTINGS
+@given(st.data())
+def test_canonicalize_is_idempotent_and_stays_in_the_class(data):
+    rs = SYSTEMS[data.draw(st.sampled_from(TYPES))]
+    W = enumerate_group(rs)
+    I = data.draw(st.sets(st.integers(0, rs.rank - 1)))
+    x = data.draw(st.sampled_from(W))
+    y = data.draw(st.sampled_from(W))
+    O = canonicalize(rs, I, x, y)
+    assert canonicalize(rs, O.I, O.sigma * O.rho, O.tau) == O
+    # (sigma rho, tau) = (x v, y v) for some v in W_I
+    v = y.inverse() * O.tau
+    assert in_parabolic(v, I)
+    assert x * v == O.sigma * O.rho
+
+
+WORDS = st.one_of(
+    st.just("e"),
+    st.lists(st.integers(-1, 4), min_size=1, max_size=5).map(
+        lambda letters: ".".join(map(str, letters))
+    ),
+    st.text(max_size=6),
+)
+LABEL_TEXT = st.one_of(
+    st.text(),
+    st.builds(
+        "I=[{}];sigma={};tau={};rho={}".format,
+        st.lists(st.integers(-1, 5), max_size=4).map(lambda I: ",".join(map(str, I))),
+        WORDS,
+        WORDS,
+        WORDS,
+    ),
+)
+
+
+@SETTINGS
+@given(st.sampled_from(TYPES), LABEL_TEXT)
+def test_parse_label_raises_only_label_parse_error(name, text):
+    rs = SYSTEMS[name]
+    try:
+        O = parse_label(rs, text)
+    except LabelParseError:
+        return
+    assert parse_label(rs, label_str(O)) == O
+
+
+# ---------------------------------------------------------------- Cartan matrices
+
+
+@SETTINGS
+@given(
+    st.one_of(st.just(2), st.integers(-1, 3)),
+    st.integers(-5, 2),
+    st.integers(-5, 2),
+    st.one_of(st.just(2), st.integers(-1, 3)),
+)
+def test_rank2_cartan_accepted_iff_finite_type(d1, a12, a21, d2):
+    finite = (
+        d1 == d2 == 2
+        and a12 <= 0
+        and a21 <= 0
+        and (a12 == 0) == (a21 == 0)
+        and a12 * a21 in (0, 1, 2, 3)
+    )
+    try:
+        rs = build_root_system([[d1, a12], [a21, d2]])
+    except ValueError:
+        assert not finite
+    else:
+        assert finite
+        # dihedral of order 2m with m = 2, 3, 4, 6
+        assert len(enumerate_group(rs)) == {0: 4, 1: 6, 2: 8, 3: 12}[a12 * a21]
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=12,
+)
+SPECS = st.one_of(
+    JSON,
+    st.dictionaries(st.sampled_from(["type", "cartan", "nonreduced", "weights"]), JSON),
+    st.fixed_dictionaries(
+        {"cartan": st.lists(st.lists(st.integers(-3, 2), max_size=3), max_size=3)},
+        optional={"nonreduced": JSON, "weights": JSON},
+    ),
+    st.fixed_dictionaries(
+        {"type": st.sampled_from(TYPES)},
+        optional={"weights": st.dictionaries(st.text(max_size=2), JSON, max_size=3)},
+    ),
+)
+
+
+@SETTINGS
+@given(SPECS)
+def test_system_from_spec_raises_only_value_error(spec):
+    try:
+        rs, wf = system_from_spec(spec)
+    except ValueError:
+        return
+    assert wf.system is rs
