@@ -445,12 +445,17 @@ def test_closure_leq_worked_examples():
     u, v = closure_leq_witness(O1, O2)
     assert (word_str(u), word_str(v)) == ("e", "1")
     assert not closure_leq(OrbitLabel((), e, e, e), O2)
-    # within the dense stratum
+
+
+def test_closure_same_stratum_delta_examples():
+    rs = rs_of("A1")
+    e, s = rs.identity, rs.simple_reflection(0)
+    hi = OrbitLabel((0,), e, e, e)
     lo = OrbitLabel((0,), e, e, s)
-    assert closure_leq(lo, dense)
-    assert not closure_leq(dense, lo)
+    assert closure_leq(lo, hi)
+    assert not closure_leq(hi, lo)
     assert closure_leq(lo, lo)
-    assert not closure_leq(dense, OrbitLabel((), e, e, e))
+    assert not closure_leq(hi, OrbitLabel((), e, e, e))
 
 
 def test_closure_requires_stratum_inclusion():
