@@ -23,7 +23,6 @@ import numpy as np
 
 from .coxeter import CapExceeded, DEFAULT_CAP, cartan_matrix, system_from_spec, word_str
 from .orbit_model import (
-    ClosurePoset,
     LabelParseError,
     NotGradedError,
     closure_leq_witness,
@@ -275,7 +274,7 @@ def cmd_matrix(args):
         print("  " + msg)
     if args.dump:
         with open(args.dump, "w") as fh:
-            json.dump(matrix_model.orbit_dump(n, q), fh, indent=2)
+            json.dump(matrix_model.orbit_dump(n, q, partition), fh, indent=2)
             fh.write("\n")
     return 0 if report.ok and cells.ok else 1
 

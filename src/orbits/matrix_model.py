@@ -3,9 +3,16 @@
 The compactified group is modeled as P(M_n(F_q)): every nonzero n x n matrix
 over the prime field, normalized so the first nonzero entry in row-major order
 equals 1.  The upper and lower Borel subgroups act by (p, b) . [m] = [p m b^-1];
-orbits are computed by breadth-first saturation under generator actions
-(elementary transvections plus diagonal torus generators), from scratch — no
-label combinatorics enters the partition.
+orbits are computed from scratch under generator actions (elementary
+transvections plus diagonal torus generators) — no label combinatorics enters
+the partition.
+
+The orbit engine codes each point as a big-endian base-q integer, turns each
+generator into a numpy permutation table of point indices (one vectorized
+multiply, normalize and look-up over the whole point stack), and takes the
+connected components of the tables by min-label propagation with pointer
+jumping.  It uses numpy only: scipy's csgraph would do the last step, but
+importing it adds more time and nearly as much memory as a whole (3,3) run.
 
 The stratum base point b_I is the diagonal 0/1 idempotent supported on the
 TRAILING block of the composition of n cut out by I (positions i, i+1 merge
@@ -25,11 +32,13 @@ orbits; `matching_report` records the collisions instead of pretending.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .coxeter import build_root_system, cartan_matrix, word_str
 from .orbit_model import (
-    OrbitLabel,
     enumerate_orbits,
     label_str,
     point_count_poly,
@@ -101,21 +110,18 @@ def _inv_mat(m, q):
 
 
 def _det(m, q):
-    n = len(m)
-    a = [list(row) for row in m]
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] % q), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det = (det * a[col][col]) % q
-        inv = pow(a[col][col] % q, q - 2, q)
-        for r in range(col + 1, n):
-            f = (a[r][col] * inv) % q
-            a[r] = [(x - f * y) % q for x, y in zip(a[r], a[col])]
+    """Determinant over F_q by the exact integer Leibniz sum.
+
+    m is one matrix or a stack of them; the result has the stack's shape.
+    """
+    a = np.asarray(m, dtype=np.int32)
+    n = a.shape[-1]
+    det = 0
+    for perm in itertools.permutations(range(n)):
+        term = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        for i, j in enumerate(perm):
+            term = term * a[..., i, j]
+        det = det + term
     return det % q
 
 
@@ -149,66 +155,92 @@ def _borel_generators(n, q, upper):
     return gens
 
 
-def enumerate_points(n, q):
-    """All (q^(n*n)-1)/(q-1) normalized points, in lexicographic order.
-
-    Generated directly in normal form: the first nonzero entry is pinned to 1,
-    entries before it to 0, later entries run free.
-    """
-    _check_nq(n, q)
+def _point_stack(n, q):
+    """The points of `enumerate_points` as rows of an (N, n*n) int8 array."""
     total = n * n
-    out = []
+    blocks = []
     for lead in range(total):
         free = total - lead - 1
-        for code in range(q ** free):
-            flat = [0] * lead + [1]
-            c = code
-            for _ in range(free):
-                flat.append(c % q)
-                c //= q
-            out.append(tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n)))
-    return out
+        tail = np.arange(q ** free)
+        block = np.zeros((q ** free, total), dtype=np.int8)
+        block[:, lead] = 1
+        for k in range(free):
+            block[:, lead + 1 + k] = tail // q ** k % q
+        blocks.append(block)
+    return np.concatenate(blocks)
+
+
+def enumerate_points(n, q):
+    """All (q^(n*n)-1)/(q-1) normalized points, in enumeration order.
+
+    Generated directly in normal form: the first nonzero entry (row-major) is
+    pinned to 1, entries before it to 0, later entries run free.  Points come
+    by the position of that entry, then by the later entries read as a base-q
+    number whose least significant digit is the first of them.  Points share
+    their row tuples: there are only q^n distinct rows.
+    """
+    _check_nq(n, q)
+    rows = list(itertools.product(range(q), repeat=n))  # indexed by big-endian code
+    row_codes = _point_stack(n, q).reshape(-1, n, n) @ q ** np.arange(n - 1, -1, -1)
+    # zip the n columns of row tuples into points
+    return list(zip(*(map(rows.__getitem__, col) for col in row_codes.T.tolist())))
 
 
 def orbit_partition(n, q):
-    """Partition of all points into upper x lower Borel orbits, by BFS saturation.
+    """Partition of all points into upper x lower Borel orbits.
+
+    Each generator becomes a permutation table of point indices: the whole
+    point stack is multiplied mod q in one step, normalized, coded as a
+    big-endian base-q integer and looked up.  The orbits are the connected
+    components of those tables, found by min-label propagation with pointer
+    jumping; each point ends up labelled by the smallest enumeration index in
+    its orbit.
 
     Returns (orbits, point_to_orbit): orbits is a list of sorted point tuples,
     ordered by their first point in enumeration order; point_to_orbit maps each
     point to its orbit index.  Deterministic.
     """
     _check_nq(n, q)
-    left_gens = [_normalize(g, q) for g in _borel_generators(n, q, True)]
-    right_gens = [
-        _inv_mat(g, q) for g in _borel_generators(n, q, False)
-    ]  # act by m -> m g^{-1}
     points = enumerate_points(n, q)
-    point_to_orbit = {}
+    count = len(points)
+    # int8 holds every entry of a product of two reduced matrices: n(q-1)^2 <= 48
+    stack = _point_stack(n, q).reshape(count, n, n)
+    # big-endian digits: numeric order of codes is tuple order of points
+    place = q ** np.arange(n * n - 1, -1, -1, dtype=np.int32)
+    code = stack.reshape(count, n * n) @ place
+    index = np.zeros(q ** (n * n), dtype=np.int32)
+    ids = np.arange(count, dtype=np.int32)
+    index[code] = ids
+    inverse = np.array([0] + [pow(c, q - 2, q) for c in range(1, q)], dtype=np.int8)
+    left = [np.array(g, dtype=np.int8) for g in _borel_generators(n, q, True)]
+    right = [  # act by m -> m g^{-1}
+        np.array(_inv_mat(g, q), dtype=np.int8) for g in _borel_generators(n, q, False)
+    ]
+    tables = []
+    for image in itertools.chain((g @ stack for g in left), (stack @ h for h in right)):
+        flat = image.reshape(count, n * n) % q
+        lead = flat[ids, (flat != 0).argmax(axis=1)]
+        t = index[(flat * inverse[lead][:, None] % q) @ place]
+        back = np.empty_like(t)
+        back[t] = ids
+        tables += [t, back]
+    label = ids
+    while True:
+        new = label
+        for t in tables:
+            new = np.minimum(new, new[t])
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    _, oid = np.unique(label, return_inverse=True)
+    order = np.lexsort((code, oid)).tolist()
     orbits = []
-    for p in points:
-        if p in point_to_orbit:
-            continue
-        oid = len(orbits)
-        members = {p}
-        frontier = [p]
-        while frontier:
-            nxt = []
-            for m in frontier:
-                for g in left_gens:
-                    m2 = _normalize(_matmul(g, m, q), q)
-                    if m2 not in members:
-                        members.add(m2)
-                        nxt.append(m2)
-                for g in right_gens:
-                    m2 = _normalize(_matmul(m, g, q), q)
-                    if m2 not in members:
-                        members.add(m2)
-                        nxt.append(m2)
-            frontier = nxt
-        for m in members:
-            point_to_orbit[m] = oid
-        orbits.append(tuple(sorted(members)))
-    return orbits, point_to_orbit
+    start = 0
+    for size in np.bincount(oid).tolist():
+        orbits.append(tuple(points[i] for i in order[start : start + size]))
+        start += size
+    return orbits, dict(zip(points, oid.tolist()))
 
 
 def base_point_matrix(n, q, I):
@@ -341,11 +373,13 @@ def verify_group_cells(n, q, partition=None):
     rs = build_root_system(cartan_matrix("A%d" % (n - 1)))
     delta = tuple(range(rs.rank))
     report = GroupCellReport(n=n, q=q)
-    invertible_ids = {
-        point_to_orbit[p]
-        for p in point_to_orbit
-        if _det(p, q)
-    }
+    count = len(point_to_orbit)
+    # fromiter fills the stack in place; np.array on nested tuples peaks higher
+    entries = itertools.chain.from_iterable(itertools.chain.from_iterable(point_to_orbit))
+    stack = np.fromiter(entries, dtype=np.int32, count=count * n * n)
+    dets = _det(stack.reshape(count, n, n), q)
+    oids = np.fromiter(point_to_orbit.values(), dtype=np.int32, count=count)
+    invertible_ids = set(oids[dets != 0].tolist())
     seen_ids = set()
     for O in enumerate_orbits(rs, delta):
         oid = point_to_orbit[representative_point(n, q, O)]
@@ -370,9 +404,9 @@ def verify_group_cells(n, q, partition=None):
     return report
 
 
-def orbit_dump(n, q):
+def orbit_dump(n, q, partition=None):
     """JSON-friendly dump: per orbit, its label (if matched), size, representative."""
-    partition = orbit_partition(n, q)
+    partition = partition or orbit_partition(n, q)
     orbits, _ = partition
     report = matching_report(n, q, partition)
     by_orbit = {}

@@ -38,7 +38,6 @@ from .orbit_model import (
     intersection_components,
     label_str,
     rank1_act,
-    strata,
 )
 
 __all__ = [

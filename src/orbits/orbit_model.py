@@ -189,6 +189,12 @@ def parse_label(rs, s):
                 % (s, i + 1, rs.rank)
             )
     suggestion = label_str(canonicalize(rs, I, sigma * rho, tau))
+    if istr != ",".join(str(i + 1) for i in sorted(set(I))):
+        raise LabelParseError(
+            "I=[%s] is not a canonical stratum: indices increase, without repeats "
+            "or leading zeros (canonical label: %s)" % (istr, suggestion),
+            suggestion,
+        )
     for given, w, name in ((sstr, sigma, "sigma"), (tstr, tau, "tau"), (rstr, rho, "rho")):
         if given != word_str(w):
             raise LabelParseError(

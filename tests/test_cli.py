@@ -157,6 +157,19 @@ def test_compare_non_canonical_label_exits_3(capsys):
     assert "canonical label: I=[2];sigma=1;tau=e;rho=e" in err
 
 
+@pytest.mark.parametrize(
+    "stratum, canonical", [("2,1", "1,2"), ("1,1", "1"), ("01", "1")]
+)
+def test_compare_non_canonical_stratum_exits_3(capsys, stratum, canonical):
+    rc, out, err = run_main(
+        capsys, "compare", "--type", "A2",
+        "I=[%s];sigma=e;tau=e;rho=e" % stratum, "I=[1,2];sigma=e;tau=e;rho=e",
+    )
+    assert rc == 3 and out == ""
+    assert "I=[%s] is not a canonical stratum" % stratum in err
+    assert "canonical label: I=[%s];sigma=e;tau=e;rho=e" % canonical in err
+
+
 @pytest.mark.parametrize("stratum", ["3", "0"])
 def test_compare_out_of_range_stratum_index_exits_3(capsys, stratum):
     rc, out, err = run_main(

@@ -1,9 +1,10 @@
-"""Finite-field model: Borel pairs, BFS orbit partitions, label matching.
+"""Finite-field model: Borel pairs, orbit partitions, label matching.
 
 The expected orbit counts, size multisets, collision structure, and group-cell
-sizes below are frozen outputs of the breadth-first saturation itself (run
-once, checked in), cross-checked against the label polynomials wherever the
-matching is a bijection.
+sizes below are frozen outputs of the partition itself (run once, checked in),
+cross-checked against the label polynomials wherever the matching is a
+bijection.  The breadth-first saturation kept here is the reference the
+integer-coded partition must equal exactly.
 """
 
 import pytest
@@ -45,6 +46,10 @@ def test_enumerate_points_counts():
         assert len(pts) == count == (q ** (n * n) - 1) // (q - 1)
         assert len(set(pts)) == count
         assert all(_normalize(p, q) == p for p in pts)
+        # by the leading 1, then the later entries, least significant first
+        flats = [sum(p, ()) for p in pts]
+        keys = [(f.index(1), f[f.index(1) + 1 :][::-1]) for f in flats]
+        assert keys == sorted(keys)
 
 
 def test_supported_parameters():
@@ -63,6 +68,11 @@ def test_field_linear_algebra():
     assert _inv_mat(((1, 2), (2, 4)), 5) is None  # singular
     assert _det(((1, 2), (2, 4)), 5) == 0
     assert _det(((1, 2), (3, 4)), 5) == 3  # -2 mod 5
+    for n, q in ((2, 3), (3, 2)):
+        pts = enumerate_points(n, q)
+        dets = _det(pts, q)  # one stack
+        assert dets.shape == (len(pts),)
+        assert [bool(d) for d in dets] == [_inv_mat(p, q) is not None for p in pts]
 
 
 # ---------------------------------------------------------------- Borel pairs
@@ -120,6 +130,32 @@ def test_base_point_matrices():
 # ---------------------------------------------------------------- partitions
 
 
+def _bfs_partition(n, q):
+    """Reference partition: breadth-first saturation of each unvisited point,
+    in enumeration order, under the same generators and actions."""
+    left = _borel_generators(n, q, True)
+    right = [_inv_mat(g, q) for g in _borel_generators(n, q, False)]
+    orbits, point_to_orbit = [], {}
+    for p in enumerate_points(n, q):
+        if p in point_to_orbit:
+            continue
+        members, frontier = {p}, [p]
+        while frontier:
+            images = {_normalize(_matmul(g, m, q), q) for m in frontier for g in left}
+            images |= {_normalize(_matmul(m, h, q), q) for m in frontier for h in right}
+            frontier = images - members
+            members |= frontier
+        for m in members:
+            point_to_orbit[m] = len(orbits)
+        orbits.append(tuple(sorted(members)))
+    return orbits, point_to_orbit
+
+
+@pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (2, 5), (3, 2)])
+def test_orbit_partition_equals_reference_bfs(n, q):
+    assert orbit_partition(n, q) == _bfs_partition(n, q)
+
+
 def test_orbit_partition_2_2():
     orbits, point_to_orbit = orbit_partition(2, 2)
     assert sorted(len(o) for o in orbits) == [1, 2, 2, 2, 4, 4]
@@ -140,6 +176,25 @@ def test_orbit_partition_3_2():
         [1] + [2] * 3 + [4] * 6 + [8] * 8 + [16] * 8 + [32] * 5 + [64] * 2
     )
     assert sum(len(o) for o in orbits) == 511
+
+
+def test_orbit_partition_3_3():
+    orbits, point_to_orbit = orbit_partition(3, 3)
+    assert len(point_to_orbit) == 9841
+    assert sorted(len(o) for o in orbits) == [
+        1, 3, 3, 6, 9, 9, 9, 18, 18, 18, 27, 27, 54, 54, 54, 54, 54, 81, 108,
+        162, 162, 162, 162, 162, 324, 324, 486, 486, 486, 972, 972, 1458, 2916,
+    ]
+
+
+def test_orbit_partition_3_5():
+    partition = orbit_partition(3, 5)
+    orbits, point_to_orbit = partition
+    assert len(point_to_orbit) == 488281
+    assert len(orbits) == 33
+    report = verify_group_cells(3, 5, partition)
+    assert report.ok
+    assert report.group_order == 372000  # |PGL_3(F_5)|
 
 
 def test_orbit_partition_deterministic():

@@ -82,7 +82,7 @@ def test_parse_label_raises_only_label_parse_error(name, text):
         O = parse_label(rs, text)
     except LabelParseError:
         return
-    assert parse_label(rs, label_str(O)) == O
+    assert label_str(O) == text.strip()  # only canonical spellings are accepted
 
 
 # ---------------------------------------------------------------- Cartan matrices
