@@ -166,7 +166,7 @@ def cmd_components(args):
 
 def _matrix_n(rs):
     """The n with W = W(A_{n-1}), when the configured group is A1 or A2."""
-    for n in (2, 3):
+    for n in matrix_model.SUPPORTED_N:
         if rs.cartan == cartan_matrix("A%d" % (n - 1)) and not rs.doubled:
             return n
     return None
@@ -274,7 +274,7 @@ def cmd_matrix(args):
         print("  " + msg)
     if args.dump:
         with open(args.dump, "w") as fh:
-            json.dump(matrix_model.orbit_dump(n, q, partition), fh, indent=2)
+            json.dump(matrix_model.orbit_dump(orbits, report), fh, indent=2)
             fh.write("\n")
     return 0 if report.ok and cells.ok else 1
 
@@ -330,8 +330,8 @@ def build_parser():
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("matrix", help="finite-field orbit partition of P(M_n(F_q))")
-    p.add_argument("--n", type=int, required=True, choices=(2, 3))
-    p.add_argument("--q", type=int, required=True, choices=(2, 3, 5))
+    p.add_argument("--n", type=int, required=True, choices=matrix_model.SUPPORTED_N)
+    p.add_argument("--q", type=int, required=True, choices=matrix_model.SUPPORTED_Q)
     p.add_argument("--dump", default=None, help="write per-orbit JSON to this file")
     p.set_defaults(func=cmd_matrix)
     return ap

@@ -7,9 +7,12 @@ orbits are computed from scratch under generator actions (elementary
 transvections plus diagonal torus generators) — no label combinatorics enters
 the partition.
 
-The orbit engine codes each point as a big-endian base-q integer, turns each
+A point is coded end to end as one integer: its entries, row-major, read as a
+big-endian base-q number.  Points, orbits, orbit look-ups and label
+representatives are all codes; matrices are decoded only to be multiplied,
+for determinants, and for the per-orbit dump.  The orbit engine turns each
 generator into a numpy permutation table of point indices (one vectorized
-multiply, normalize and look-up over the whole point stack), and takes the
+multiply, normalize and look-up over the decoded point stack), and takes the
 connected components of the tables by min-label propagation with pointer
 jumping.  It uses numpy only: scipy's csgraph would do the last step, but
 importing it adds more time and nearly as much memory as a whole (3,3) run.
@@ -56,57 +59,26 @@ __all__ = [
     "orbit_dump",
 ]
 
+SUPPORTED_N = (2, 3)
 SUPPORTED_Q = (2, 3, 5)
 
 
 def _check_nq(n, q):
-    if n not in (2, 3):
-        raise ValueError("matrix model supports n in {2, 3}")
+    if n not in SUPPORTED_N:
+        raise ValueError("matrix model supports n in %r" % (SUPPORTED_N,))
     if q not in SUPPORTED_Q:
         raise ValueError("matrix model supports prime q in %r" % (SUPPORTED_Q,))
 
 
-def _normalize(rows, q):
-    """Scale so the first nonzero entry (row-major) is 1; None for the zero matrix."""
-    flat = [c % q for row in rows for c in row]
-    lead = next((c for c in flat if c), None)
-    if lead is None:
-        return None
-    if lead != 1:
-        inv = pow(lead, q - 2, q)
-        flat = [(c * inv) % q for c in flat]
-    n = len(rows)
-    return tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
+def _place(n, q):
+    """Place values of the n*n entries, row-major, in a big-endian base-q code."""
+    return q ** np.arange(n * n - 1, -1, -1, dtype=np.int32)
 
 
-def _matmul(a, b, q):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) % q for j in range(n))
-        for i in range(n)
-    )
-
-
-def _identity(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def _inv_mat(m, q):
-    """Inverse over F_q by Gauss-Jordan elimination; None if singular."""
-    n = len(m)
-    a = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] % q), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = pow(a[col][col] % q, q - 2, q)
-        a[col] = [(x * inv) % q for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] % q:
-                f = a[r][col] % q
-                a[r] = [(x - f * y) % q for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
+def _decode(codes, n, q):
+    """The entries of codes as an (N, n, n) int8 stack."""
+    digits = np.asarray(codes, dtype=np.int32)[:, None] // _place(n, q) % q
+    return digits.astype(np.int8).reshape(-1, n, n)
 
 
 def _det(m, q):
@@ -138,84 +110,79 @@ def _primitive_root(q):
 
 
 def _borel_generators(n, q, upper):
-    """Transvections and torus generators of the (upper or lower) Borel."""
+    """Transvections and torus generators of the (upper or lower) Borel, as
+    int8 matrices."""
     gens = []
-    for i in range(n):
-        for j in range(n):
-            if (j > i) if upper else (j < i):
-                t = [list(row) for row in _identity(n)]
-                t[i][j] = 1
-                gens.append(tuple(tuple(r) for r in t))
+    for i, j in itertools.product(range(n), repeat=2):
+        if (j > i) if upper else (j < i):
+            t = np.eye(n, dtype=np.int8)
+            t[i, j] = 1
+            gens.append(t)
     g = _primitive_root(q)
     if g != 1:
         for i in range(n):
-            t = [list(row) for row in _identity(n)]
-            t[i][i] = g
-            gens.append(tuple(tuple(r) for r in t))
+            t = np.eye(n, dtype=np.int8)
+            t[i, i] = g
+            gens.append(t)
     return gens
 
 
-def _point_stack(n, q):
-    """The points of `enumerate_points` as rows of an (N, n*n) int8 array."""
-    total = n * n
+def enumerate_points(n, q):
+    """The codes of all (q^(n*n)-1)/(q-1) normalized points, in enumeration
+    order, as an int32 array.
+
+    A point is coded by its n*n entries read row-major as a big-endian base-q
+    number, so numeric order of codes is lexicographic order of matrices.  The
+    points are generated in normal form: the first nonzero entry is pinned to
+    1, entries before it to 0, later entries run free.  They come by the
+    position of that entry, then by the later entries read as a base-q number
+    whose least significant digit is the first of them.
+
+    >>> codes = enumerate_points(2, 2)
+    >>> codes[:4].tolist()
+    [8, 12, 10, 14]
+    >>> _decode(codes[:4], 2, 2).tolist()
+    [[[1, 0], [0, 0]], [[1, 1], [0, 0]], [[1, 0], [1, 0]], [[1, 1], [1, 0]]]
+    """
+    _check_nq(n, q)
     blocks = []
-    for lead in range(total):
-        free = total - lead - 1
-        tail = np.arange(q ** free)
-        block = np.zeros((q ** free, total), dtype=np.int8)
-        block[:, lead] = 1
+    for free in range(n * n - 1, -1, -1):
+        tail = np.arange(q ** free, dtype=np.int32)
+        code = np.full_like(tail, q ** free)  # the leading 1
         for k in range(free):
-            block[:, lead + 1 + k] = tail // q ** k % q
-        blocks.append(block)
+            code += tail // q ** k % q * q ** (free - 1 - k)
+        blocks.append(code)
     return np.concatenate(blocks)
 
 
-def enumerate_points(n, q):
-    """All (q^(n*n)-1)/(q-1) normalized points, in enumeration order.
-
-    Generated directly in normal form: the first nonzero entry (row-major) is
-    pinned to 1, entries before it to 0, later entries run free.  Points come
-    by the position of that entry, then by the later entries read as a base-q
-    number whose least significant digit is the first of them.  Points share
-    their row tuples: there are only q^n distinct rows.
-    """
-    _check_nq(n, q)
-    rows = list(itertools.product(range(q), repeat=n))  # indexed by big-endian code
-    row_codes = _point_stack(n, q).reshape(-1, n, n) @ q ** np.arange(n - 1, -1, -1)
-    # zip the n columns of row tuples into points
-    return list(zip(*(map(rows.__getitem__, col) for col in row_codes.T.tolist())))
-
-
 def orbit_partition(n, q):
-    """Partition of all points into upper x lower Borel orbits.
+    """Partition of all points into upper x lower Borel orbits, on codes.
 
     Each generator becomes a permutation table of point indices: the whole
-    point stack is multiplied mod q in one step, normalized, coded as a
-    big-endian base-q integer and looked up.  The orbits are the connected
-    components of those tables, found by min-label propagation with pointer
-    jumping; each point ends up labelled by the smallest enumeration index in
-    its orbit.
+    decoded point stack is multiplied mod q in one step, normalized, coded
+    and looked up.  The lower Borel acts on the right by m -> m h^-1; the
+    tables use m -> m h instead, which is the inverse permutation, and since
+    every table enters together with its inverse the orbits are the same.
+    The orbits are the connected components of the tables, found by
+    min-label propagation with pointer jumping; each point ends up labelled
+    by the smallest enumeration index in its orbit.
 
-    Returns (orbits, point_to_orbit): orbits is a list of sorted point tuples,
-    ordered by their first point in enumeration order; point_to_orbit maps each
-    point to its orbit index.  Deterministic.
+    Returns (orbits, orbit_of): orbits[k] is the sorted int32 code array of
+    orbit k, with orbits ordered by their first point in enumeration order;
+    orbit_of maps every code in range(q**(n*n)) to its orbit index, or -1 for
+    a code that is not a normalized point.  Deterministic.
     """
-    _check_nq(n, q)
-    points = enumerate_points(n, q)
-    count = len(points)
+    code = enumerate_points(n, q)
+    count = len(code)
     # int8 holds every entry of a product of two reduced matrices: n(q-1)^2 <= 48
-    stack = _point_stack(n, q).reshape(count, n, n)
-    # big-endian digits: numeric order of codes is tuple order of points
-    place = q ** np.arange(n * n - 1, -1, -1, dtype=np.int32)
-    code = stack.reshape(count, n * n) @ place
-    index = np.zeros(q ** (n * n), dtype=np.int32)
+    stack = _decode(code, n, q)
+    place = _place(n, q)
+    index = np.full(q ** (n * n), -1, dtype=np.int32)
     ids = np.arange(count, dtype=np.int32)
     index[code] = ids
     inverse = np.array([0] + [pow(c, q - 2, q) for c in range(1, q)], dtype=np.int8)
-    left = [np.array(g, dtype=np.int8) for g in _borel_generators(n, q, True)]
-    right = [  # act by m -> m g^{-1}
-        np.array(_inv_mat(g, q), dtype=np.int8) for g in _borel_generators(n, q, False)
-    ]
+    left = _borel_generators(n, q, True)
+    right = _borel_generators(n, q, False)
     tables = []
     for image in itertools.chain((g @ stack for g in left), (stack @ h for h in right)):
         flat = image.reshape(count, n * n) % q
@@ -234,13 +201,11 @@ def orbit_partition(n, q):
             break
         label = new
     _, oid = np.unique(label, return_inverse=True)
-    order = np.lexsort((code, oid)).tolist()
-    orbits = []
-    start = 0
-    for size in np.bincount(oid).tolist():
-        orbits.append(tuple(points[i] for i in order[start : start + size]))
-        start += size
-    return orbits, dict(zip(points, oid.tolist()))
+    members = code[np.lexsort((code, oid))]
+    orbits = np.split(members, np.cumsum(np.bincount(oid))[:-1])
+    orbit_of = index
+    orbit_of[code] = oid
+    return orbits, orbit_of
 
 
 def base_point_matrix(n, q, I):
@@ -267,21 +232,18 @@ def _coord_permutation(w, n):
     return p
 
 
-def _perm_matrix(p):
-    n = len(p)
-    return tuple(tuple(1 if i == p[j] else 0 for j in range(n)) for i in range(n))
-
-
 def representative_point(n, q, O):
-    """perm(sigma*rho) . b_I . perm(tau)^{-1}, the point the label names."""
+    """The code of perm(sigma*rho) . b_I . perm(tau)^{-1}, the point the label
+    names.
+
+    With a = sigma*rho and t = tau as coordinate permutations, the product is
+    the 0/1 partial permutation matrix with 1s at (a(k), t(k)) for k in the
+    trailing block of b_I, so it is already in normal form.
+    """
     b = base_point_matrix(n, q, O.I)
-    pa = _coord_permutation(O.sigma * O.rho, n)
-    pt = _coord_permutation(O.tau, n)
-    pt_inv = [0] * n
-    for i, x in enumerate(pt):
-        pt_inv[x] = i
-    m = _matmul(_perm_matrix(pa), _matmul(b, _perm_matrix(pt_inv), q), q)
-    return _normalize(m, q)
+    a = _coord_permutation(O.sigma * O.rho, n)
+    t = _coord_permutation(O.tau, n)
+    return sum(q ** (n * n - 1 - a[k] * n - t[k]) for k in range(n) if b[k][k])
 
 
 @dataclass
@@ -314,14 +276,14 @@ class MatchReport:
 def matching_report(n, q, partition=None):
     """Match every label to the orbit of its representative; report everything."""
     _check_nq(n, q)
-    orbits, point_to_orbit = partition or orbit_partition(n, q)
+    orbits, orbit_of = partition or orbit_partition(n, q)
     rs = build_root_system(cartan_matrix("A%d" % (n - 1)))
     labels = enumerate_orbits(rs)
     mapping = {}
     hits = {}
     size_mismatches = []
     for O in labels:
-        oid = point_to_orbit[representative_point(n, q, O)]
+        oid = int(orbit_of[representative_point(n, q, O)])
         mapping[O] = oid
         hits.setdefault(oid, []).append(O)
         expected = poly_eval(point_count_poly(O), q)
@@ -369,20 +331,16 @@ def verify_group_cells(n, q, partition=None):
     q^(2N - l(rho)) (q-1)^(n-1) points and they must exhaust the invertibles.
     """
     _check_nq(n, q)
-    orbits, point_to_orbit = partition or orbit_partition(n, q)
+    orbits, orbit_of = partition or orbit_partition(n, q)
     rs = build_root_system(cartan_matrix("A%d" % (n - 1)))
     delta = tuple(range(rs.rank))
     report = GroupCellReport(n=n, q=q)
-    count = len(point_to_orbit)
-    # fromiter fills the stack in place; np.array on nested tuples peaks higher
-    entries = itertools.chain.from_iterable(itertools.chain.from_iterable(point_to_orbit))
-    stack = np.fromiter(entries, dtype=np.int32, count=count * n * n)
-    dets = _det(stack.reshape(count, n, n), q)
-    oids = np.fromiter(point_to_orbit.values(), dtype=np.int32, count=count)
-    invertible_ids = set(oids[dets != 0].tolist())
+    codes = np.flatnonzero(orbit_of >= 0)
+    dets = _det(_decode(codes, n, q), q)
+    invertible_ids = set(orbit_of[codes[dets != 0]].tolist())
     seen_ids = set()
     for O in enumerate_orbits(rs, delta):
-        oid = point_to_orbit[representative_point(n, q, O)]
+        oid = int(orbit_of[representative_point(n, q, O)])
         seen_ids.add(oid)
         size = len(orbits[oid])
         expected = poly_eval(point_count_poly(O), q)
@@ -404,21 +362,19 @@ def verify_group_cells(n, q, partition=None):
     return report
 
 
-def orbit_dump(n, q, partition=None):
-    """JSON-friendly dump: per orbit, its label (if matched), size, representative."""
-    partition = partition or orbit_partition(n, q)
-    orbits, _ = partition
-    report = matching_report(n, q, partition)
+def orbit_dump(orbits, report):
+    """JSON-friendly dump: per orbit, its labels (if matched), size, and its
+    first point as a matrix.  report is the `matching_report` of the same
+    partition."""
     by_orbit = {}
     for O, oid in report.mapping.items():
         by_orbit.setdefault(oid, []).append(label_str(O))
-    out = []
-    for oid, members in enumerate(orbits):
-        out.append(
-            {
-                "labels": sorted(by_orbit.get(oid, [])),
-                "size": len(members),
-                "representative": [list(row) for row in members[0]],
-            }
-        )
-    return out
+    firsts = _decode([members[0] for members in orbits], report.n, report.q)
+    return [
+        {
+            "labels": sorted(by_orbit.get(oid, [])),
+            "size": len(members),
+            "representative": first.tolist(),
+        }
+        for oid, (members, first) in enumerate(zip(orbits, firsts))
+    ]

@@ -3,14 +3,17 @@
 The expected orbit counts, size multisets, collision structure, and group-cell
 sizes below are frozen outputs of the partition itself (run once, checked in),
 cross-checked against the label polynomials wherever the matching is a
-bijection.  The breadth-first saturation kept here is the reference the
-integer-coded partition must equal exactly.
+bijection.  The breadth-first saturation kept here, on tuple-of-tuples
+matrices with its own linear algebra, is the reference the integer-coded
+partition must equal exactly.
 """
 
+import numpy as np
 import pytest
 
 from orbits.coxeter import build_root_system, cartan_matrix
 from orbits.matrix_model import (
+    SUPPORTED_Q,
     base_point_matrix,
     enumerate_points,
     matching_report,
@@ -19,13 +22,77 @@ from orbits.matrix_model import (
     verify_group_cells,
     orbit_dump,
     _borel_generators,
+    _coord_permutation,
     _det,
-    _identity,
-    _inv_mat,
-    _matmul,
-    _normalize,
 )
 from orbits.orbit_model import enumerate_orbits, label_str, point_count_poly, poly_eval
+
+
+# ---------------------------------------------------------------- reference
+# Tuple-of-tuples linear algebra over F_q, independent of the engine's codes.
+
+
+def _normalize(rows, q):
+    """Scale so the first nonzero entry (row-major) is 1; None for the zero matrix."""
+    flat = [c % q for row in rows for c in row]
+    lead = next((c for c in flat if c), None)
+    if lead is None:
+        return None
+    if lead != 1:
+        inv = pow(lead, q - 2, q)
+        flat = [(c * inv) % q for c in flat]
+    n = len(rows)
+    return tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
+
+
+def _matmul(a, b, q):
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) % q for j in range(n))
+        for i in range(n)
+    )
+
+
+def _identity(n):
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def _inv_mat(m, q):
+    """Inverse over F_q by Gauss-Jordan elimination; None if singular."""
+    n = len(m)
+    a = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] % q), None)
+        if piv is None:
+            return None
+        a[col], a[piv] = a[piv], a[col]
+        inv = pow(a[col][col] % q, q - 2, q)
+        a[col] = [(x * inv) % q for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] % q:
+                f = a[r][col] % q
+                a[r] = [(x - f * y) % q for x, y in zip(a[r], a[col])]
+    return tuple(tuple(row[n:]) for row in a)
+
+
+def _matrix(code, n, q):
+    """The tuple matrix of a big-endian base-q code."""
+    code = int(code)
+    digits = [code // q ** (n * n - 1 - i) % q for i in range(n * n)]
+    return tuple(tuple(digits[i * n : (i + 1) * n]) for i in range(n))
+
+
+def _code(m, q):
+    """The big-endian base-q code of a tuple matrix."""
+    code = 0
+    for row in m:
+        for c in row:
+            code = code * q + c
+    return code
+
+
+def _generators(n, q, upper):
+    return [tuple(map(tuple, g.tolist())) for g in _borel_generators(n, q, upper)]
 
 
 # ---------------------------------------------------------------- points
@@ -42,10 +109,13 @@ def test_normalization():
 
 def test_enumerate_points_counts():
     for n, q, count in ((2, 2, 15), (2, 3, 40), (2, 5, 156), (3, 2, 511)):
-        pts = enumerate_points(n, q)
-        assert len(pts) == count == (q ** (n * n) - 1) // (q - 1)
+        codes = enumerate_points(n, q)
+        assert codes.dtype == np.int32
+        assert len(codes) == count == (q ** (n * n) - 1) // (q - 1)
+        pts = [_matrix(c, n, q) for c in codes]
         assert len(set(pts)) == count
         assert all(_normalize(p, q) == p for p in pts)
+        assert [_code(p, q) for p in pts] == codes.tolist()
         # by the leading 1, then the later entries, least significant first
         flats = [sum(p, ()) for p in pts]
         keys = [(f.index(1), f[f.index(1) + 1 :][::-1]) for f in flats]
@@ -69,7 +139,7 @@ def test_field_linear_algebra():
     assert _det(((1, 2), (2, 4)), 5) == 0
     assert _det(((1, 2), (3, 4)), 5) == 3  # -2 mod 5
     for n, q in ((2, 3), (3, 2)):
-        pts = enumerate_points(n, q)
+        pts = [_matrix(c, n, q) for c in enumerate_points(n, q)]
         dets = _det(pts, q)  # one stack
         assert dets.shape == (len(pts),)
         assert [bool(d) for d in dets] == [_inv_mat(p, q) is not None for p in pts]
@@ -81,7 +151,7 @@ def test_field_linear_algebra():
 def _borel(n, q, upper):
     """The upper (or lower) Borel subgroup of PGL_n(F_q): the closure of its
     generators under multiplication, as sorted normalized matrices."""
-    gens = [_normalize(g, q) for g in _borel_generators(n, q, upper)]
+    gens = [_normalize(g, q) for g in _generators(n, q, upper)]
     seen = {_normalize(_identity(n), q)}
     frontier = list(seen)
     while frontier:
@@ -132,11 +202,12 @@ def test_base_point_matrices():
 
 def _bfs_partition(n, q):
     """Reference partition: breadth-first saturation of each unvisited point,
-    in enumeration order, under the same generators and actions."""
-    left = _borel_generators(n, q, True)
-    right = [_inv_mat(g, q) for g in _borel_generators(n, q, False)]
+    in enumeration order, under the same generators and the actions
+    (p, b) . [m] = [p m b^-1]."""
+    left = _generators(n, q, True)
+    right = [_inv_mat(g, q) for g in _generators(n, q, False)]
     orbits, point_to_orbit = [], {}
-    for p in enumerate_points(n, q):
+    for p in (_matrix(c, n, q) for c in enumerate_points(n, q)):
         if p in point_to_orbit:
             continue
         members, frontier = {p}, [p]
@@ -151,16 +222,25 @@ def _bfs_partition(n, q):
     return orbits, point_to_orbit
 
 
-@pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (2, 5), (3, 2)])
+@pytest.mark.parametrize("n, q", [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3)])
 def test_orbit_partition_equals_reference_bfs(n, q):
-    assert orbit_partition(n, q) == _bfs_partition(n, q)
+    orbits, orbit_of = orbit_partition(n, q)
+    assert all(o.dtype == np.int32 for o in orbits)
+    assert len(orbit_of) == q ** (n * n)
+    decoded = [tuple(_matrix(c, n, q) for c in o) for o in orbits]
+    # codes off the points map to -1, so this also checks which codes are points
+    point_to_orbit = {
+        _matrix(c, n, q): oid for c, oid in enumerate(orbit_of.tolist()) if oid >= 0
+    }
+    assert (decoded, point_to_orbit) == _bfs_partition(n, q)
 
 
 def test_orbit_partition_2_2():
-    orbits, point_to_orbit = orbit_partition(2, 2)
+    orbits, orbit_of = orbit_partition(2, 2)
     assert sorted(len(o) for o in orbits) == [1, 2, 2, 2, 4, 4]
     assert sum(len(o) for o in orbits) == 15
-    assert len(point_to_orbit) == 15
+    assert np.count_nonzero(orbit_of >= 0) == 15
+    assert orbit_of[0] == -1  # the zero matrix
 
 
 def test_orbit_partition_2_3():
@@ -179,8 +259,8 @@ def test_orbit_partition_3_2():
 
 
 def test_orbit_partition_3_3():
-    orbits, point_to_orbit = orbit_partition(3, 3)
-    assert len(point_to_orbit) == 9841
+    orbits, orbit_of = orbit_partition(3, 3)
+    assert np.count_nonzero(orbit_of >= 0) == 9841
     assert sorted(len(o) for o in orbits) == [
         1, 3, 3, 6, 9, 9, 9, 18, 18, 18, 27, 27, 54, 54, 54, 54, 54, 81, 108,
         162, 162, 162, 162, 162, 324, 324, 486, 486, 486, 972, 972, 1458, 2916,
@@ -189,8 +269,8 @@ def test_orbit_partition_3_3():
 
 def test_orbit_partition_3_5():
     partition = orbit_partition(3, 5)
-    orbits, point_to_orbit = partition
-    assert len(point_to_orbit) == 488281
+    orbits, orbit_of = partition
+    assert np.count_nonzero(orbit_of >= 0) == 488281
     assert len(orbits) == 33
     report = verify_group_cells(3, 5, partition)
     assert report.ok
@@ -198,7 +278,9 @@ def test_orbit_partition_3_5():
 
 
 def test_orbit_partition_deterministic():
-    assert orbit_partition(2, 3) == orbit_partition(2, 3)
+    (orbits1, orbit_of1), (orbits2, orbit_of2) = orbit_partition(2, 3), orbit_partition(2, 3)
+    assert [o.tolist() for o in orbits1] == [o.tolist() for o in orbits2]
+    assert np.array_equal(orbit_of1, orbit_of2)
 
 
 # ---------------------------------------------------------------- matching
@@ -227,10 +309,10 @@ def test_label_matching_worked_examples():
     # the dense orbit is the 4-point orbit of the identity
     oid = by_name["I=[1];sigma=e;tau=e;rho=e"]
     assert len(orbits[oid]) == 4
-    assert ((1, 0), (0, 1)) in orbits[oid]
+    assert _code(((1, 0), (0, 1)), 2) in orbits[oid]
     # (emptyset, s, s) is a singleton
     oid = by_name["I=[];sigma=1;tau=1;rho=e"]
-    assert orbits[oid] == (((1, 0), (0, 0)),)
+    assert orbits[oid].tolist() == [_code(((1, 0), (0, 0)), 2)]
 
 
 def test_orbit_sizes_q3():
@@ -270,22 +352,36 @@ def test_matching_report_3_2_collisions():
         assert len(orbits[oid]) == poly_eval(point_count_poly(O), 2)
 
 
+@pytest.mark.parametrize("n, q", [(n, q) for n in (2, 3) for q in SUPPORTED_Q])
+def test_representative_point_matches_reference_product(n, q):
+    rs = build_root_system(cartan_matrix("A%d" % (n - 1)))
+    for O in enumerate_orbits(rs):
+        a = _coord_permutation(O.sigma * O.rho, n)
+        t = _coord_permutation(O.tau, n)
+        perm_a = tuple(tuple(int(i == a[j]) for j in range(n)) for i in range(n))
+        perm_t = tuple(tuple(int(i == t[j]) for j in range(n)) for i in range(n))
+        b = base_point_matrix(n, q, O.I)
+        product = _matmul(perm_a, _matmul(b, _inv_mat(perm_t, q), q), q)
+        assert representative_point(n, q, O) == _code(_normalize(product, q), q)
+
+
 def test_representative_independence():
     # scaling the permutation representatives by torus elements must not
     # change the orbit hit
     q = 3
     partition = orbit_partition(2, q)
-    _, point_to_orbit = partition
+    _, orbit_of = partition
     rs = build_root_system(cartan_matrix("A1"))
     for O in enumerate_orbits(rs):
         rep = representative_point(2, q, O)
-        base = point_to_orbit[rep]
+        base = orbit_of[rep]
+        assert base >= 0
         for d in ((1, 2), (2, 1), (2, 2)):
             for d2 in ((1, 2), (2, 1)):
                 left = ((d[0], 0), (0, d[1]))
                 right = ((d2[0], 0), (0, d2[1]))
-                moved = _normalize(_matmul(left, _matmul(rep, right, q), q), q)
-                assert point_to_orbit[moved] == base
+                moved = _normalize(_matmul(left, _matmul(_matrix(rep, 2, q), right, q), q), q)
+                assert orbit_of[_code(moved, q)] == base
 
 
 # ---------------------------------------------------------------- group cells
@@ -323,14 +419,21 @@ def test_group_cells_3_2():
 # ---------------------------------------------------------------- dump
 
 
+def _dump(n, q):
+    partition = orbit_partition(n, q)
+    return orbit_dump(partition[0], matching_report(n, q, partition))
+
+
 def test_orbit_dump_shape():
-    dump = orbit_dump(2, 2)
+    dump = _dump(2, 2)
     assert len(dump) == 6
     assert sum(entry["size"] for entry in dump) == 15
-    for entry in dump:
+    orbits, _ = orbit_partition(2, 2)
+    for entry, members in zip(dump, orbits):
         assert set(entry) == {"labels", "size", "representative"}
         assert len(entry["labels"]) == 1  # bijective at (2,2)
-        assert len(entry["representative"]) == 2
-    dump32 = orbit_dump(3, 2)
+        # the orbit's first (smallest) point, as a matrix
+        assert entry["representative"] == [list(row) for row in _matrix(members[0], 2, 2)]
+    dump32 = _dump(3, 2)
     assert len(dump32) == 33
     assert sorted(len(e["labels"]) for e in dump32) == [1] * 24 + [6] * 9
