@@ -24,6 +24,7 @@ from .coxeter import (
     parabolic_trichotomy,
     weighted_length,
     enumerate_group,
+    greedy_word,
     word_str,
     parse_word,
 )
@@ -51,12 +52,10 @@ from .orbit_model import (
     closure_leq_witness,
     intersection_components,
     closure_poset,
+    strata_csv,
 )
 from .oracle import (
-    MoveTrace,
     minimal_orbit,
-    move_trace,
-    replay_moves,
     subword_closure_same_stratum,
     GeneratorCycleError,
     oracle_poset,

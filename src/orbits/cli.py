@@ -31,6 +31,7 @@ from .orbit_model import (
     intersection_components,
     label_str,
     parse_label,
+    strata_csv,
 )
 from .oracle import GeneratorCycleError, compare_posets, oracle_poset
 from . import matrix_model
@@ -115,15 +116,12 @@ def cmd_enumerate(args):
 def cmd_poset(args):
     cap = _cap(args)
     _, rs = _group(args)
+    if args.format == "csv":  # the per-stratum summary needs no relation
+        _emit(strata_csv(enumerate_orbits(rs, cap=cap)), args.out)
+        return 0
     build = oracle_poset if args.engine == "oracle" else closure_poset
     poset = build(rs, cap=cap)
-    if args.format == "json":
-        text = poset.to_json() + "\n"
-    elif args.format == "dot":
-        text = poset.to_dot()
-    else:
-        text = poset.to_csv()
-    _emit(text, args.out)
+    _emit(poset.to_json() + "\n" if args.format == "json" else poset.to_dot(), args.out)
     return 0
 
 

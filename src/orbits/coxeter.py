@@ -14,8 +14,9 @@ A group element is stored as the signed permutation it induces on the
 non-divisible positive roots (w(alpha_r) = +/- alpha_{r'}).  This determines the
 element, composes in O(#roots), and reads off the length as the number of sign
 changes:  l(w) = #{alpha > 0 : w(alpha) < 0}.  The canonical reduced word is the
-lexicographically least one, obtained greedily: its first letter is the least i
-with w^{-1}(alpha_i) < 0, and so on.  ShortLex order means (length, word).
+lexicographically least one, obtained greedily (`greedy_word`): its first letter
+is the least i with w^{-1}(alpha_i) < 0, and so on.  ShortLex order means
+(length, word).
 
 Non-reduced systems are supported through `nonreduced` marks on simple roots:
 the reflection group is that of the underlying reduced system, and each root in
@@ -55,6 +56,7 @@ __all__ = [
     "parabolic_trichotomy",
     "weighted_length",
     "enumerate_group",
+    "greedy_word",
     "word_str",
     "parse_word",
 ]
@@ -198,22 +200,10 @@ class RootSystem:
         self._simple_perm = tuple(tables)
 
         # doubled bookkeeping: the Weyl orbit of each marked simple gets 2*alpha
-        doubled_idx = set()
-        for i in nonreduced:
-            seen = {self._simple_index[i]}
-            stack = [self._simple_index[i]]
-            while stack:
-                r = stack.pop()
-                for tab in self._simple_perm:
-                    r2 = abs(tab[r]) - 1
-                    if r2 not in seen:
-                        seen.add(r2)
-                        stack.append(r2)
-            doubled_idx |= seen
-        self.doubled = {
-            positives[r]: tuple(2 * c for c in positives[r])
-            for r in sorted(doubled_idx)
-        }
+        self._orbits = None
+        marked = {self._simple_index[i] for i in nonreduced}
+        doubled = sorted(r for o in self.root_orbits() if marked & set(o) for r in o)
+        self.doubled = {positives[r]: tuple(2 * c for c in positives[r]) for r in doubled}
         self.positive_roots = self.nondivisible_positive + tuple(
             sorted(self.doubled.values(), key=lambda v: (sum(v), v))
         )
@@ -226,7 +216,6 @@ class RootSystem:
         )
         self._elements = None
         self._tables = None
-        self._orbits = None
 
     def _reflect_vector(self, v, i):
         pairing = sum(v[j] * self.cartan[i][j] for j in range(self.rank))
@@ -307,16 +296,7 @@ class WeylElement:
     def word(self):
         """Canonical reduced word as a tuple of 0-based simple indices."""
         if self._word is None:
-            letters = []
-            cur = self
-            while cur.length:
-                inv = cur.inverse()
-                for i in range(self.system.rank):
-                    if inv.perm[self.system._simple_index[i]] < 0:
-                        letters.append(i)
-                        cur = self.system.simple_reflection(i) * cur
-                        break
-            self._word = tuple(letters)
+            self._word = greedy_word(self, range(self.system.rank))
         return self._word
 
     @property
@@ -687,6 +667,29 @@ def enumerate_group(rs, cap=DEFAULT_CAP):
     out.sort(key=lambda w: w.shortlex_key())
     rs._elements = tuple(out)
     return rs._elements
+
+
+def greedy_word(w, letters):
+    """The reduced word of w that starts with the first of `letters` (an
+    ordered, re-iterable collection of simple indices) that is a left descent,
+    and so on for the rest.  Increasing letters give the lexicographically
+    least reduced word (`WeylElement.word`), decreasing ones the largest.
+
+    >>> rs = build_root_system(cartan_matrix("A2"))
+    >>> w0 = longest_element(rs)
+    >>> greedy_word(w0, range(2)), greedy_word(w0, range(1, -1, -1))
+    ((0, 1, 0), (1, 0, 1))
+    """
+    rs = w.system
+    word = []
+    while w.length:
+        inv = w.inverse()
+        for i in letters:
+            if inv.perm[rs._simple_index[i]] < 0:
+                word.append(i)
+                w = rs.simple_reflection(i) * w
+                break
+    return tuple(word)
 
 
 def word_str(w):

@@ -23,16 +23,14 @@ Nothing here calls the closed-form comparison criterion; agreement of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .coxeter import DEFAULT_CAP, longest_element
+from .coxeter import DEFAULT_CAP, greedy_word, longest_element
 from .orbit_model import (
     LEFT,
     RIGHT,
     ClosurePoset,
-    OrbitLabel,
+    _as_left,
     canonicalize,
     enumerate_orbits,
     intersection_components,
@@ -41,10 +39,7 @@ from .orbit_model import (
 )
 
 __all__ = [
-    "MoveTrace",
     "minimal_orbit",
-    "move_trace",
-    "replay_moves",
     "subword_closure_same_stratum",
     "GeneratorCycleError",
     "oracle_poset",
@@ -59,57 +54,18 @@ def minimal_orbit(rs, J):
     return canonicalize(rs, J, w0, w0 * w0J)
 
 
-def _greedy_max_word(w):
-    """The reduced word picking the largest left descent at each step (lex-last)."""
-    letters = []
-    cur = w
-    rs = w.system
-    while cur.length:
-        inv = cur.inverse()
-        for i in reversed(range(rs.rank)):
-            if inv.perm[rs._simple_index[i]] < 0:
-                letters.append(i)
-                cur = rs.simple_reflection(i) * cur
-                break
-    return tuple(letters)
-
-
 def _moves_for(O2, alternate=False):
-    """The (side, alpha) move sequence carrying minimal_orbit(J) onto O2."""
+    """The (side, alpha) move sequence carrying minimal_orbit(J) onto O2: the
+    lex-least reduced words, or with `alternate` the lex-largest."""
     rs = O2.system
     w0 = longest_element(rs)
     w0J = longest_element(rs, O2.I)
-    left = O2.sigma * O2.rho * w0
-    right = O2.tau * w0J * w0
-    lw = _greedy_max_word(left) if alternate else left.word
-    rw = _greedy_max_word(right) if alternate else right.word
+    letters = range(rs.rank - 1, -1, -1) if alternate else range(rs.rank)
+    lw = greedy_word(O2.sigma * O2.rho * w0, letters)
+    rw = greedy_word(O2.tau * w0J * w0, letters)
     return tuple(
         [(LEFT, a) for a in reversed(lw)] + [(RIGHT, a) for a in reversed(rw)]
     )
-
-
-@dataclass(frozen=True)
-class MoveTrace:
-    """A replayable move certificate: rank1_act along `moves` from `start`
-    lands on `end`."""
-
-    start: OrbitLabel
-    moves: tuple  # of (side, simple index)
-    end: OrbitLabel
-
-
-def replay_moves(start, moves):
-    O = start
-    for side, alpha in moves:
-        O = rank1_act(O, side, alpha)
-    return O
-
-
-def move_trace(O2, alternate=False):
-    """Certificate that O2 is reachable from its stratum's minimal orbit."""
-    start = minimal_orbit(O2.system, O2.I)
-    moves = _moves_for(O2, alternate)
-    return MoveTrace(start, moves, O2)
 
 
 def subword_closure_same_stratum(O2, alternate=False):
@@ -138,9 +94,11 @@ def oracle_poset(rs, cap=DEFAULT_CAP, alternate=False):
     """Closure poset rebuilt from moves + degenerations + transitivity only.
 
     Generators of the relation: (a) within each stratum, O1 <= O2 whenever O1
-    is in subword_closure_same_stratum(O2); (b) L <= O for every intersection
-    component L of O at a codimension-one smaller stratum.  The generators are
-    then closed transitively in one pass (_transitive_closure).
+    is in subword_closure_same_stratum(O2), run on move tables: the LEFT ones
+    from rank1_act, each RIGHT one the LEFT one conjugated by the label swap
+    (I, sigma, tau, rho) -> (I, tau, sigma, rho^{-1}); (b) L <= O for every
+    intersection component L of O at a codimension-one smaller stratum.  The
+    generators are then closed transitively in one pass (_transitive_closure).
     """
     labels = enumerate_orbits(rs, cap=cap)
     n = len(labels)
@@ -154,13 +112,12 @@ def oracle_poset(rs, cap=DEFAULT_CAP, alternate=False):
     for J, stratum_labels in by_stratum.items():
         local = {L: k for k, L in enumerate(stratum_labels)}
         m = len(stratum_labels)
+        swap = np.array([local[_as_left(L, RIGHT)] for L in stratum_labels])
         trans = {}
-        for side in (LEFT, RIGHT):
-            for alpha in range(rs.rank):
-                arr = np.empty(m, dtype=np.int32)
-                for L, k in local.items():
-                    arr[k] = local[rank1_act(L, side, alpha)]
-                trans[side, alpha] = arr
+        for alpha in range(rs.rank):
+            left = np.array([local[rank1_act(L, LEFT, alpha)] for L in stratum_labels])
+            trans[LEFT, alpha] = left
+            trans[RIGHT, alpha] = swap[left[swap]]
         start = local[minimal_orbit(rs, J)]
         for L in stratum_labels:
             reach = np.zeros(m, dtype=bool)

@@ -16,8 +16,9 @@ Unit-weight dimension bookkeeping (the split model):
 with N the number of positive roots.  The rank-1 parabolic P_alpha acts on an
 orbit closure from the left by either shortening sigma (if l(s_a sigma) goes
 down) or, in the exchange case s_a sigma = sigma s_b with b in I, shortening
-rho; otherwise the closure is stable.  The mirrored action on the right works
-on tau and rho s_b.  Orbit closures are ordered by
+rho; otherwise the closure is stable.  The action on the right is the left
+action on the swapped label (I, tau, sigma, rho^{-1}): it works on tau and
+rho s_b.  Orbit closures are ordered by
 
     O1 <= O2  iff  I1 c I2 and there are v in W_{I2} n W^{I1}, u in W_{I1}
               with  sigma1 rho1 u >= sigma2 rho2 v,   tau1 >= tau2 v u^{-1},
@@ -80,6 +81,7 @@ __all__ = [
     "closure_leq_witness",
     "intersection_components",
     "closure_poset",
+    "strata_csv",
     "label_str",
     "parse_label",
 ]
@@ -224,20 +226,13 @@ def enumerate_orbits(rs, J=None, cap=DEFAULT_CAP):
     Canonical order: stratum by (size, indices), then ShortLex on sigma, tau,
     rho.  The count in stratum J is |W^J|^2 * |W_J| = |W|^2 / |W_J|.
     """
-    if J is not None:
-        J = tuple(sorted(set(J)))
-        reps = min_coset_reps(rs, J, cap)
-        par = [w for w in enumerate_group(rs, cap) if in_parabolic(w, J)]
-        return [
-            OrbitLabel(J, s, t, r)
-            for s in reps
-            for t in reps
-            for r in par
-        ]
-    out = []
-    for J2 in strata(rs):
-        out.extend(enumerate_orbits(rs, J2, cap))
-    return out
+    W = enumerate_group(rs, cap)  # checks the cap before listing the 2^rank strata
+    if J is None:
+        return [O for J2 in strata(rs) for O in enumerate_orbits(rs, J2, cap)]
+    J = tuple(sorted(set(J)))
+    reps = min_coset_reps(rs, J, cap)
+    par = [w for w in W if in_parabolic(w, J)]
+    return [OrbitLabel(J, s, t, r) for s in reps for t in reps for r in par]
 
 
 def canonicalize(rs, I, x, y):
@@ -329,112 +324,101 @@ def poly_str(coeffs):
     return out
 
 
+def _as_left(O, side):
+    """The label on which `side`'s moves are LEFT moves: O for LEFT, and for
+    RIGHT the swapped label (I, tau, sigma, rho^{-1}).  The swap is an
+    involution of each stratum's labels, so it also maps the result back."""
+    if side == LEFT:
+        return O
+    if side == RIGHT:
+        return OrbitLabel(O.I, O.tau, O.sigma, O.rho.inverse())
+    raise ValueError("side must be LEFT or RIGHT")
+
+
 def rank1_act(O, side, alpha):
     """Label of the dense orbit of P_alpha . closure(O) (LEFT) or closure(O) . P_alpha (RIGHT).
 
     LEFT: if l(s_a sigma) < l(sigma), sigma shortens; in the exchange case
     s_a sigma = sigma s_b with b in I and l(s_b rho) < l(rho), rho shortens;
-    otherwise O is returned unchanged.  RIGHT mirrors on tau and rho * s_b.
+    otherwise O is returned unchanged.  RIGHT is LEFT on the swapped label
+    (_as_left): it shortens tau, or rho s_b = (s_b rho^{-1})^{-1}.
     """
-    rs = O.system
-    s = rs.simple_reflection(alpha)
-    if side == LEFT:
-        case, beta = parabolic_trichotomy(O.sigma, O.I, alpha)
-        if case == DESCENT_IN_WJ:
-            return OrbitLabel(O.I, s * O.sigma, O.tau, O.rho)
-        if case == EXCHANGE:
-            rho2 = rs.simple_reflection(beta) * O.rho
-            if rho2.length < O.rho.length:
-                return OrbitLabel(O.I, O.sigma, O.tau, rho2)
-        return O
-    if side == RIGHT:
-        case, beta = parabolic_trichotomy(O.tau, O.I, alpha)
-        if case == DESCENT_IN_WJ:
-            return OrbitLabel(O.I, O.sigma, s * O.tau, O.rho)
-        if case == EXCHANGE:
-            rho2 = O.rho * rs.simple_reflection(beta)
-            if rho2.length < O.rho.length:
-                return OrbitLabel(O.I, O.sigma, O.tau, rho2)
-        return O
-    raise ValueError("side must be LEFT or RIGHT")
+    L = _as_left(O, side)
+    case, beta = parabolic_trichotomy(L.sigma, L.I, alpha)
+    if case == DESCENT_IN_WJ:
+        s = O.system.simple_reflection(alpha)
+        return _as_left(OrbitLabel(L.I, s * L.sigma, L.tau, L.rho), side)
+    if case == EXCHANGE:
+        rho2 = O.system.simple_reflection(beta) * L.rho
+        if rho2.length < L.rho.length:
+            return _as_left(OrbitLabel(L.I, L.sigma, L.tau, rho2), side)
+    return O
 
 
 def is_stable(O, side, alpha):
     """True iff the rank-1 parabolic does not enlarge the orbit closure.
 
     Characterized by a single length test: l(s_a sigma rho) > l(sigma rho) on
-    the LEFT, l(s_a tau rho^{-1}) > l(tau rho^{-1}) on the RIGHT.
+    the LEFT, l(s_a tau rho^{-1}) > l(tau rho^{-1}) on the RIGHT (the LEFT
+    test on the swapped label).
     """
-    s = O.system.simple_reflection(alpha)
-    if side == LEFT:
-        x = O.sigma * O.rho
-    elif side == RIGHT:
-        x = O.tau * O.rho.inverse()
-    else:
-        raise ValueError("side must be LEFT or RIGHT")
-    return (s * x).length > x.length
+    L = _as_left(O, side)
+    x = L.sigma * L.rho
+    return (O.system.simple_reflection(alpha) * x).length > x.length
 
 
 def unique_predecessor(O, side, alpha):
     """The unique label O0 != O with rank1_act(O0, side, alpha) = O.
 
-    Defined exactly on stable labels: the ascent case lifts sigma (resp. tau)
-    to s_a sigma; the exchange case lifts rho to s_b rho (resp. rho s_b).
-    Raises on unstable labels, naming the trichotomy case that rules it out.
+    Defined exactly on stable labels: on the LEFT the ascent case lifts sigma
+    to s_a sigma and the exchange case lifts rho to s_b rho; RIGHT is LEFT on
+    the swapped label.  Raises on unstable labels, naming the trichotomy case
+    that rules it out.
     """
-    rs = O.system
-    s = rs.simple_reflection(alpha)
-    if side == LEFT:
-        case, beta = parabolic_trichotomy(O.sigma, O.I, alpha)
-        if case == ASCENT_IN_WJ:
-            return OrbitLabel(O.I, s * O.sigma, O.tau, O.rho)
-        if case == EXCHANGE:
-            rho2 = rs.simple_reflection(beta) * O.rho
-            if rho2.length > O.rho.length:
-                return OrbitLabel(O.I, O.sigma, O.tau, rho2)
-            raise ValueError(
-                "unstable label: exchange case with l(s_b rho) < l(rho)"
-            )
-        raise ValueError("unstable label: descent case l(s_a sigma) < l(sigma)")
-    if side == RIGHT:
-        case, beta = parabolic_trichotomy(O.tau, O.I, alpha)
-        if case == ASCENT_IN_WJ:
-            return OrbitLabel(O.I, O.sigma, s * O.tau, O.rho)
-        if case == EXCHANGE:
-            rho2 = O.rho * rs.simple_reflection(beta)
-            if rho2.length > O.rho.length:
-                return OrbitLabel(O.I, O.sigma, O.tau, rho2)
-            raise ValueError(
-                "unstable label: exchange case with l(rho s_b) < l(rho)"
-            )
-        raise ValueError("unstable label: descent case l(s_a tau) < l(tau)")
-    raise ValueError("side must be LEFT or RIGHT")
+    L = _as_left(O, side)
+    case, beta = parabolic_trichotomy(L.sigma, L.I, alpha)
+    if case == ASCENT_IN_WJ:
+        s = O.system.simple_reflection(alpha)
+        return _as_left(OrbitLabel(L.I, s * L.sigma, L.tau, L.rho), side)
+    if case == EXCHANGE:
+        rho2 = O.system.simple_reflection(beta) * L.rho
+        if rho2.length > L.rho.length:
+            return _as_left(OrbitLabel(L.I, L.sigma, L.tau, rho2), side)
+        raise ValueError("unstable label: exchange case where the move shortens rho")
+    raise ValueError(
+        "unstable label: descent case where the move shortens the coset representative"
+    )
+
+
+def _shortening(O, I, cap):
+    """The v in W_{O.I} n W^I with l(rho v) = l(rho) - l(v), in ShortLex order.
+
+    As sigma is in W^{O.I}, the length test is l(sigma rho v) = l(sigma rho) - l(v).
+    """
+    return [
+        v
+        for v in enumerate_group(O.system, cap)
+        if in_parabolic(v, O.I)
+        and all(v.sends_positive(i) for i in I)
+        and (O.rho * v).length == O.rho.length - v.length
+    ]
 
 
 def closure_leq_witness(O1, O2, cap=DEFAULT_CAP):
     """(u, v) witnessing closure containment O1 <= O2, or None.
 
-    Searches v in W_{I2} n W^{I1} subject to l(rho2) = l(rho2 v) + l(v), then
-    u in W_{I1}, for sigma1 rho1 u >= sigma2 rho2 v and tau1 >= tau2 v u^{-1};
-    both loops in ShortLex order, first hit returned.
+    Searches v in W_{I2} n W^{I1} subject to l(rho2) = l(rho2 v) + l(v)
+    (_shortening), then u in W_{I1}, for sigma1 rho1 u >= sigma2 rho2 v and
+    tau1 >= tau2 v u^{-1}; both loops in ShortLex order, first hit returned.
     """
     if O1.system is not O2.system:
         raise ValueError("labels belong to different root systems")
     if not stratum_leq(O1.I, O2.I):
         return None
-    rs = O1.system
-    W = enumerate_group(rs, cap)
-    vs = [
-        v
-        for v in W
-        if in_parabolic(v, O2.I)
-        and all(v.sends_positive(i) for i in O1.I)
-        and (O2.rho * v).length == O2.rho.length - v.length
-    ]
-    us = [u for u in W if in_parabolic(u, O1.I)]
+    us = [u for u in enumerate_group(O1.system, cap) if in_parabolic(u, O1.I)]
     a1, t1 = O1.sigma * O1.rho, O1.tau
     a2, t2 = O2.sigma * O2.rho, O2.tau
-    for v in vs:
+    for v in _shortening(O2, O1.I, cap):
         a2v = a2 * v
         t2v = t2 * v
         for u in us:
@@ -452,24 +436,15 @@ def intersection_components(O, I, cap=DEFAULT_CAP):
     """Labels of the irreducible components of closure(O) n closure(stratum I).
 
     One component for each v in W_J n W^I with l(sigma rho) = l(sigma rho v)
-    + l(v) (J = O.I): the canonicalization of (sigma rho v, tau v) in stratum
-    I.  Empty when I is not contained in O.I.
+    + l(v) (J = O.I; the same set as in closure_leq_witness, _shortening): the
+    canonicalization of (sigma rho v, tau v) in stratum I.  Empty when I is
+    not contained in O.I.
     """
     I = tuple(sorted(set(I)))
     if not stratum_leq(I, O.I):
         return []
-    rs = O.system
     a = O.sigma * O.rho
-    out = []
-    for v in enumerate_group(rs, cap):
-        if not in_parabolic(v, O.I):
-            continue
-        if not all(v.sends_positive(i) for i in I):
-            continue
-        if (a * v).length != a.length - v.length:
-            continue
-        out.append(canonicalize(rs, I, a * v, O.tau * v))
-    return out
+    return [canonicalize(O.system, I, a * v, O.tau * v) for v in _shortening(O, I, cap)]
 
 
 class NotGradedError(ValueError):
@@ -578,25 +553,25 @@ class ClosurePoset:
         lines.append("}")
         return "\n".join(lines) + "\n"
 
-    def to_csv(self):
-        """Per-stratum summary: stratum, count, min_dim, max_dim."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["stratum", "count", "min_dim", "max_dim"])
-        groups = {}
-        for L in self.labels:
-            groups.setdefault(L.I, []).append(split_dimension(L))
-        for I in sorted(groups, key=lambda I: (len(I), I)):
-            dims = groups[I]
-            writer.writerow(
-                [
-                    "[%s]" % ",".join(str(i + 1) for i in I),
-                    len(dims),
-                    min(dims),
-                    max(dims),
-                ]
-            )
-        return buf.getvalue()
+
+def strata_csv(labels):
+    """Per-stratum summary of labels: stratum, count, min_dim, max_dim.
+
+    A function of the labels and their dimensions alone, so no relation is
+    built for it.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["stratum", "count", "min_dim", "max_dim"])
+    groups = {}
+    for L in labels:
+        groups.setdefault(L.I, []).append(split_dimension(L))
+    for I in sorted(groups, key=lambda I: (len(I), I)):
+        dims = groups[I]
+        writer.writerow(
+            ["[%s]" % ",".join(str(i + 1) for i in I), len(dims), min(dims), max(dims)]
+        )
+    return buf.getvalue()
 
 
 def closure_poset(rs, cap=DEFAULT_CAP):

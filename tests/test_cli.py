@@ -116,6 +116,28 @@ def test_poset_dot_and_csv(capsys):
     assert out.splitlines() == ["stratum,count,min_dim,max_dim", "[],4,0,2", "[1],2,2,3"]
 
 
+def test_poset_csv_builds_no_relation(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("poset --format csv built a relation")
+
+    monkeypatch.setattr(cli, "closure_poset", refuse)
+    monkeypatch.setattr(cli, "oracle_poset", refuse)
+    expected = {
+        "B2": '[],64,0,8\n[1],32,2,9\n[2],32,2,9\n"[1,2]",8,6,10\n',
+        "A3": (
+            "[],576,0,12\n[1],288,2,13\n[2],288,2,13\n[3],288,2,13\n"
+            '"[1,2]",96,5,14\n"[1,3]",144,4,14\n"[2,3]",96,5,14\n"[1,2,3]",24,9,15\n'
+        ),
+    }
+    for name, rows in expected.items():
+        for engine in ("formula", "oracle"):
+            rc, out, _ = run_main(
+                capsys, "poset", "--type", name, "--format", "csv", "--engine", engine
+            )
+            assert rc == 0
+            assert out == "stratum,count,min_dim,max_dim\n" + rows
+
+
 # ---------------------------------------------------------------- compare
 
 

@@ -15,6 +15,7 @@ from orbits.coxeter import (
     cartan_matrix,
     coset_decompose,
     enumerate_group,
+    greedy_word,
     in_parabolic,
     longest_element,
     min_coset_reps,
@@ -169,23 +170,41 @@ def test_braid_relations():
             assert w == rs.identity
 
 
-def test_canonical_word_is_reduced_and_lex_least():
-    def all_reduced(w):
-        if w.length == 0:
-            return {()}
-        out = set()
-        for i in range(w.system.rank):
-            s = w.system.simple_reflection(i)
-            if (s * w).length < w.length:
-                out |= {(i,) + t for t in all_reduced(s * w)}
-        return out
+def all_reduced(w):
+    """Every reduced word of w, by brute force over the left descents."""
+    if w.length == 0:
+        return {()}
+    out = set()
+    for i in range(w.system.rank):
+        s = w.system.simple_reflection(i)
+        if (s * w).length < w.length:
+            out |= {(i,) + t for t in all_reduced(s * w)}
+    return out
 
+
+def test_canonical_word_is_reduced_and_lex_least():
     for name in ("A2", "B2"):
         rs = rs_of(name)
         for w in enumerate_group(rs):
             words = all_reduced(w)
             assert len(w.word) == w.length
             assert w.word == min(words)
+
+
+def test_greedy_word_both_letter_orders():
+    for name in ("G2", "A3"):
+        rs = rs_of(name)
+        up, down = range(rs.rank), range(rs.rank - 1, -1, -1)
+        for w in enumerate_group(rs):
+            for letters in (up, down):
+                word = greedy_word(w, letters)
+                assert len(word) == w.length
+                product = rs.identity
+                for i in word:
+                    product = product * rs.simple_reflection(i)
+                assert product == w
+            assert greedy_word(w, up) == w.word
+            assert greedy_word(w, down) == max(all_reduced(w))
 
 
 def test_word_round_trip():

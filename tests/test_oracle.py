@@ -22,12 +22,9 @@ from orbits.orbit_model import (
 from orbits import oracle
 from orbits.oracle import (
     GeneratorCycleError,
-    MoveTrace,
     compare_posets,
     minimal_orbit,
-    move_trace,
     oracle_poset,
-    replay_moves,
     subword_closure_same_stratum,
 )
 
@@ -82,33 +79,34 @@ def test_minimal_orbit_is_stratum_minimum():
 # ---------------------------------------------------------------- move traces
 
 
+def replay(start, moves):
+    O = start
+    for side, alpha in moves:
+        O = rank1_act(O, side, alpha)
+    return O
+
+
 def test_move_trace_replays_to_target():
     for name in ("A2", "B2"):
         rs = rs_of(name)
         for O in enumerate_orbits(rs):
             for alternate in (False, True):
-                trace = move_trace(O, alternate=alternate)
-                assert isinstance(trace, MoveTrace)
-                assert trace.start == minimal_orbit(rs, O.I)
-                assert trace.end == O
-                assert replay_moves(trace.start, trace.moves) == O
+                moves = oracle._moves_for(O, alternate=alternate)
+                assert replay(minimal_orbit(rs, O.I), moves) == O
 
 
 def test_move_trace_minimal_orbit_is_empty():
     rs = rs_of("B2")
     for J in all_subsets(rs.rank):
-        trace = move_trace(minimal_orbit(rs, J))
-        assert trace.moves == ()
+        assert oracle._moves_for(minimal_orbit(rs, J)) == ()
 
 
 def test_replay_moves_applies_rank1_steps():
     rs = rs_of("A2")
-    O = enumerate_orbits(rs, (0, 1))[-1]
-    trace = move_trace(O)
-    cur = trace.start
-    for side, a in trace.moves:
-        cur = rank1_act(cur, side, a)
-    assert cur == O
+    O = enumerate_orbits(rs, (0, 1))[0]  # the dense orbit: the longest move sequence
+    moves = oracle._moves_for(O)
+    assert moves
+    assert replay(minimal_orbit(rs, O.I), moves) == O
 
 
 # ---------------------------------------------------------------- subword sets

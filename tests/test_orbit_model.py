@@ -1,11 +1,16 @@
 """Orbit labels, dimensions, rank-1 moves, closure order, components, posets."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from orbits.coxeter import (
+    ASCENT_IN_WJ,
+    DESCENT_IN_WJ,
+    EXCHANGE,
+    CapExceeded,
     WeightFunction,
     build_root_system,
     bruhat_leq,
@@ -15,6 +20,7 @@ from orbits.coxeter import (
     in_parabolic,
     longest_element,
     min_coset_reps,
+    parabolic_trichotomy,
     parse_word,
     weighted_length,
     word_str,
@@ -42,6 +48,7 @@ from orbits.orbit_model import (
     rank1_act,
     split_dimension,
     strata,
+    strata_csv,
     stratum_leq,
     unique_predecessor,
 )
@@ -210,6 +217,18 @@ def test_canonicalize_gauge_invariance_rank3_random():
 
 
 # ---------------------------------------------------------------- dimensions
+
+
+def test_enumerate_orbits_checks_the_cap_before_listing_strata():
+    rs = rs_of("A20")  # 2^20 strata, |W| = 21!
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded):
+            enumerate_orbits(rs, cap=1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
 
 
 def test_strata_and_stratum_leq():
@@ -412,6 +431,59 @@ def test_unique_predecessor_worked_examples():
     ) == OrbitLabel((0,), rs1.identity, rs1.identity, s1)
     with pytest.raises(ValueError):
         unique_predecessor(OrbitLabel((), sa, e, e), LEFT, 0)
+
+
+def right_act_reference(O, alpha):
+    """rank1_act(O, RIGHT, alpha) written out on tau and rho s_b."""
+    rs = O.system
+    case, beta = parabolic_trichotomy(O.tau, O.I, alpha)
+    if case == DESCENT_IN_WJ:
+        return OrbitLabel(O.I, O.sigma, rs.simple_reflection(alpha) * O.tau, O.rho)
+    if case == EXCHANGE:
+        rho2 = O.rho * rs.simple_reflection(beta)
+        if rho2.length < O.rho.length:
+            return OrbitLabel(O.I, O.sigma, O.tau, rho2)
+    return O
+
+
+def right_predecessor_reference(O, alpha):
+    """unique_predecessor(O, RIGHT, alpha) written out on tau and rho s_b."""
+    rs = O.system
+    case, beta = parabolic_trichotomy(O.tau, O.I, alpha)
+    if case == ASCENT_IN_WJ:
+        return OrbitLabel(O.I, O.sigma, rs.simple_reflection(alpha) * O.tau, O.rho)
+    if case == EXCHANGE:
+        rho2 = O.rho * rs.simple_reflection(beta)
+        if rho2.length > O.rho.length:
+            return OrbitLabel(O.I, O.sigma, O.tau, rho2)
+        raise ValueError("unstable label: exchange case with l(rho s_b) < l(rho)")
+    raise ValueError("unstable label: descent case l(s_a tau) < l(tau)")
+
+
+def outcome(f, *args):
+    """f(*args), or ValueError when it raises one."""
+    try:
+        return f(*args)
+    except ValueError:
+        return ValueError
+
+
+def test_right_moves_match_the_mirrored_reference():
+    for name in ("A1", "A1xA1", "A2", "B2", "G2", "A3", "B3"):
+        rs = rs_of(name)
+        for O in enumerate_orbits(rs):
+            for a in range(rs.rank):
+                assert rank1_act(O, RIGHT, a) == right_act_reference(O, a)
+                assert outcome(unique_predecessor, O, RIGHT, a) == outcome(
+                    right_predecessor_reference, O, a
+                )
+
+
+def test_rank1_calculus_rejects_an_unknown_side():
+    O = enumerate_orbits(rs_of("A1"))[0]
+    for f in (rank1_act, is_stable, unique_predecessor):
+        with pytest.raises(ValueError, match="side must be LEFT or RIGHT"):
+            f(O, "up", 0)
 
 
 def test_rank1_act_codim_drop():
@@ -661,7 +733,7 @@ def test_poset_serialization_formats():
     assert sorted(map(tuple, obj["hasse"])) == sorted(map(tuple, p.hasse))
     dot = p.to_dot()
     assert "rankdir=BT" in dot and dot.count(" -> ") == len(p.hasse)
-    csv_text = p.to_csv()
+    csv_text = strata_csv(p.labels)
     lines = csv_text.strip().split("\n")
     assert lines[0] == "stratum,count,min_dim,max_dim"
     assert lines[1:] == ["[],4,0,2", "[1],2,2,3"]
