@@ -112,32 +112,21 @@ def _validate_cartan(cartan):
                 elif d[j] != dj:
                     raise ValueError("Cartan matrix is not symmetrizable")
     sym = [[d[i] * cartan[i][j] for j in range(n)] for i in range(n)]
-    # Positive definiteness via leading principal minors, exact arithmetic.
-    for k in range(1, n + 1):
-        m = [row[:k] for row in sym[:k]]
-        det = Fraction(1)
-        for col in range(k):
-            pivot = None
-            for r in range(col, k):
-                if m[r][col] != 0:
-                    pivot = r
-                    break
-            if pivot is None:
-                det = Fraction(0)
-                break
-            if pivot != col:
-                m[col], m[pivot] = m[pivot], m[col]
-                det = -det
-            det *= m[col][col]
-            for r in range(col + 1, k):
-                f = m[r][col] / m[col][col]
-                for c in range(col, k):
-                    m[r][c] -= f * m[col][c]
+    # Sylvester's test in exact arithmetic: one elimination without row swaps,
+    # where leading minor k is the product of the first k pivots.  While every
+    # earlier minor is positive, every earlier pivot is too, so no pivot is 0.
+    det = Fraction(1)
+    for k in range(n):
+        det *= sym[k][k]
         if det <= 0:
             raise ValueError(
                 "not finite type: leading principal minor %d of the symmetrized "
-                "Cartan matrix is %s <= 0" % (k, det)
+                "Cartan matrix is %s <= 0" % (k + 1, det)
             )
+        for r in range(k + 1, n):
+            f = sym[r][k] / sym[k][k]
+            for c in range(k + 1, n):
+                sym[r][c] -= f * sym[k][c]
 
 
 class RootSystem:
@@ -163,21 +152,27 @@ class RootSystem:
             for i in range(self.rank)
         ]
         self.simple_roots = tuple(simples)
-        all_roots = set(simples)
-        queue = list(simples)
-        while queue:
-            v = queue.pop()
+        # s_i negates alpha_i and permutes the other positive roots, so the
+        # closure of the simples stays among positive roots.  images[k][i] is
+        # the discovery number of s_i(roots[k]), or None when that is -alpha_i.
+        roots = list(simples)
+        found = {v: k for k, v in enumerate(roots)}
+        images = []
+        for v in roots:  # the list grows while it is walked
+            row = []
             for i in range(self.rank):
                 w = self._reflect_vector(v, i)
-                if w not in all_roots:
-                    all_roots.add(w)
-                    queue.append(w)
-            if len(all_roots) > 100000:  # unreachable after validation; safety net
+                if w[i] < 0:
+                    row.append(None)
+                    continue
+                if w not in found:
+                    found[w] = len(roots)
+                    roots.append(w)
+                row.append(found[w])
+            images.append(row)
+            if len(roots) > 100000:  # unreachable after validation; safety net
                 raise ValueError("root generation did not terminate")
-        positives = sorted(
-            (v for v in all_roots if all(c >= 0 for c in v)),
-            key=lambda v: (sum(v), v),
-        )
+        positives = sorted(roots, key=lambda v: (sum(v), v))
         self.nondivisible_positive = tuple(positives)
         self._root_index = {v: r for r, v in enumerate(positives)}
         self._support_mask = tuple(
@@ -186,18 +181,12 @@ class RootSystem:
         self._simple_index = tuple(self._root_index[s] for s in simples)
 
         # signed permutation of each simple reflection on non-divisible positives
-        tables = []
-        for i in range(self.rank):
-            tab = []
-            for v in positives:
-                w = self._reflect_vector(v, i)
-                if w in self._root_index:
-                    tab.append(self._root_index[w] + 1)
-                else:
-                    neg = tuple(-c for c in w)
-                    tab.append(-(self._root_index[neg] + 1))
-            tables.append(tuple(tab))
-        self._simple_perm = tuple(tables)
+        at = [self._root_index[v] for v in roots]
+        rows = [images[found[v]] for v in positives]
+        self._simple_perm = tuple(
+            tuple(-(r + 1) if row[i] is None else at[row[i]] + 1 for r, row in enumerate(rows))
+            for i in range(self.rank)
+        )
 
         # doubled bookkeeping: the Weyl orbit of each marked simple gets 2*alpha
         self._orbits = None
@@ -513,13 +502,23 @@ def system_from_spec(spec):
         marks = spec.get("nonreduced", [])
         if not _ints(marks):
             raise ValueError('"nonreduced" must be a list of integers')
+        for i in marks:
+            if not 1 <= i <= len(cartan):
+                raise ValueError(
+                    "nonreduced mark %d is not a simple index in 1..%d" % (i, len(cartan))
+                )
         rs = build_root_system(cartan, [i - 1 for i in marks])
     weights = spec.get("weights", {})
     if not isinstance(weights, dict) or not _ints(list(weights.values())):
         raise ValueError('"weights" must map root indices to integers')
     if weights:
+        weights = {int(k): v for k, v in weights.items()}
+        roots = len(rs.nondivisible_positive)
+        for r in weights:
+            if not 1 <= r <= roots:
+                raise ValueError("root index %d is not in 1..%d" % (r, roots))
         wf = WeightFunction.from_orbit_weights(
-            rs, {int(k) - 1: v for k, v in weights.items()}
+            rs, {r - 1: v for r, v in weights.items()}
         )
     else:
         wf = WeightFunction.unit(rs)
@@ -721,9 +720,9 @@ class WeylTables:
 
     elements are in ShortLex order; index maps perm -> position.  mult[i, j] is
     the index of elements[i] * elements[j], inverse[i] of elements[i]^{-1}, and
-    le[i, j] says elements[i] <= elements[j] in Bruhat order.  le is built by the
-    standard recursion on lower sets:  D(w) = D(sw) union s*D(sw) for any left
-    descent s of w.
+    le[i, j] says elements[i] <= elements[j] in Bruhat order.  le is built one
+    w at a time by `bruhat_leq`'s lifting rule on the right descent s ending
+    w's word: u <= w iff us <= ws when us < u, and iff u <= ws otherwise.
     """
 
     def __init__(self, system, cap=DEFAULT_CAP):
@@ -736,16 +735,11 @@ class WeylTables:
             [self.index[w.inverse().perm] for w in self.elements], dtype=np.int32
         )
 
-        rank = system.rank
-        lmul = np.empty((rank, n), dtype=np.int32)
-        rmul = np.empty((rank, n), dtype=np.int32)
-        for g in range(rank):
+        rmul = np.empty((system.rank, n), dtype=np.int32)  # rmul[g, i]: w_i * s_g
+        for g in range(system.rank):
             s = system.simple_reflection(g)
             for i, w in enumerate(self.elements):
-                lmul[g, i] = self.index[(s * w).perm]
                 rmul[g, i] = self.index[(w * s).perm]
-        self.lmul = lmul
-        self.rmul = rmul
 
         mult = np.empty((n, n), dtype=np.int32)
         col = np.arange(n, dtype=np.int32)
@@ -756,34 +750,14 @@ class WeylTables:
             mult[:, j] = acc
         self.mult = mult
 
+        descent = self.length[rmul] < self.length  # descent[g, u]: u s_g < u
         rows = np.zeros((n, n), dtype=bool)  # rows[w], the lower set of w
         rows[0, 0] = True
-        for i in range(1, n):
-            g = self.elements[i].word[0]
-            j = lmul[g, i]
-            rows[i] = rows[j] | rows[j][lmul[g]]
+        for j in range(1, n):
+            g = self.elements[j].word[-1]
+            below = rows[rmul[g, j]]
+            rows[j] = np.where(descent[g], below[rmul[g]], below)
         self.le = rows.T.copy()  # le[u, w] = u <= w
-
-        self._minrep_masks = {}
-        self._parab_masks = {}
 
     def idx(self, w):
         return self.index[w.perm]
-
-    def minrep_mask(self, J):
-        """Boolean mask over elements: w in W^J."""
-        key = frozenset(J)
-        if key not in self._minrep_masks:
-            self._minrep_masks[key] = np.array(
-                [all(w.sends_positive(j) for j in key) for w in self.elements]
-            )
-        return self._minrep_masks[key]
-
-    def parabolic_mask(self, J):
-        """Boolean mask over elements: w in W_J."""
-        key = frozenset(J)
-        if key not in self._parab_masks:
-            self._parab_masks[key] = np.array(
-                [in_parabolic(w, key) for w in self.elements]
-            )
-        return self._parab_masks[key]

@@ -160,12 +160,11 @@ def orbit_partition(n, q):
 
     Each generator becomes a permutation table of point indices: the whole
     decoded point stack is multiplied mod q in one step, normalized, coded
-    and looked up.  The lower Borel acts on the right by m -> m h^-1; the
-    tables use m -> m h instead, which is the inverse permutation, and since
-    every table enters together with its inverse the orbits are the same.
-    The orbits are the connected components of the tables, found by
-    min-label propagation with pointer jumping; each point ends up labelled
-    by the smallest enumeration index in its orbit.
+    and looked up; the lower Borel acts on the right.  Each table has finite
+    order, so the forward tables alone close every orbit: the orbits are
+    their connected components, found by min-label propagation with pointer
+    jumping, and each point ends up labelled by the smallest enumeration
+    index in its orbit.
 
     Returns (orbits, orbit_of): orbits[k] is the sorted int32 code array of
     orbit k, with orbits ordered by their first point in enumeration order;
@@ -187,10 +186,7 @@ def orbit_partition(n, q):
     for image in itertools.chain((g @ stack for g in left), (stack @ h for h in right)):
         flat = image.reshape(count, n * n) % q
         lead = flat[ids, (flat != 0).argmax(axis=1)]
-        t = index[(flat * inverse[lead][:, None] % q) @ place]
-        back = np.empty_like(t)
-        back[t] = ids
-        tables += [t, back]
+        tables.append(index[(flat * inverse[lead][:, None] % q) @ place])
     label = ids
     while True:
         new = label

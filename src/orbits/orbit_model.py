@@ -585,7 +585,6 @@ def closure_poset(rs, cap=DEFAULT_CAP):
     for i, L in enumerate(labels):
         by_stratum.setdefault(L.I, []).append(i)
 
-    elems = tab.elements
     length = tab.length
     mult = tab.mult
     inv = tab.inverse
@@ -596,22 +595,22 @@ def closure_poset(rs, cap=DEFAULT_CAP):
         a = np.array([tab.idx(labels[i].sigma * labels[i].rho) for i in idxs])
         t = np.array([tab.idx(labels[i].tau) for i in idxs])
         r = np.array([tab.idx(labels[i].rho) for i in idxs])
-        pos[I] = (np.array(idxs), a, t, r)
+        # the labels run over all of W^I x W^I x W_I: the tau column holds
+        # every element of W^I, the rho column every element of W_I
+        pos[I] = (np.array(idxs), a, t, r, np.unique(r))
 
-    for I1, (idx1, a1, t1, _r1) in pos.items():
-        for I2, (idx2, a2, t2, r2) in pos.items():
+    for I1, (idx1, a1, t1, _r1, parab1) in pos.items():
+        for I2, (idx2, a2, t2, r2, parab2) in pos.items():
             if not set(I1) <= set(I2):
                 continue
-            vmask = tab.parabolic_mask(I2) & tab.minrep_mask(I1)
-            umask = tab.parabolic_mask(I1)
             block = np.zeros((len(idx1), len(idx2)), dtype=bool)
-            for v in np.nonzero(vmask)[0]:
+            for v in np.intersect1d(parab2, t1):
                 ok2 = length[mult[r2, v]] == length[r2] - length[v]
                 if not ok2.any():
                     continue
                 a2v = mult[a2, v]
                 t2v = mult[t2, v]
-                for u in np.nonzero(umask)[0]:
+                for u in parab1:
                     a1u = mult[a1, u]
                     t2vu = mult[t2v, inv[u]]
                     hit = le[a2v[None, :], a1u[:, None]] & le[t2vu[None, :], t1[:, None]]

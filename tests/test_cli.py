@@ -388,6 +388,22 @@ def test_malformed_group_spec_exits_2(capsys, tmp_path, spec):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ('"nonreduced": [0]', "nonreduced mark 0 is not a simple index in 1..2"),
+        ('"nonreduced": [3]', "nonreduced mark 3 is not a simple index in 1..2"),
+        ('"weights": {"0": 2}', "root index 0 is not in 1..3"),
+        ('"weights": {"4": 2}', "root index 4 is not in 1..3"),
+    ],
+)
+def test_group_spec_index_errors_are_one_based(capsys, tmp_path, extra, message):
+    path = tmp_path / "spec.json"
+    path.write_text('{"cartan": [[2, -1], [-1, 2]], %s}' % extra)
+    rc, out, err = run_main(capsys, "enumerate", "--group", str(path))
+    assert (rc, out, err) == (2, "", "error: %s\n" % message)
+
+
 def test_cap_env_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("ORBITS_CAP", "2")
     rc, _, err = run_main(capsys, "enumerate", "--type", "A2")

@@ -2,6 +2,10 @@
 group-spec validation.  Runs are derandomized, so every run draws the same
 examples."""
 
+import itertools
+import math
+from fractions import Fraction
+
 from hypothesis import given, settings, strategies as st
 
 from orbits.coxeter import (
@@ -111,6 +115,59 @@ def test_rank2_cartan_accepted_iff_finite_type(d1, a12, a21, d2):
         assert finite
         # dihedral of order 2m with m = 2, 3, 4, 6
         assert len(enumerate_group(rs)) == {0: 4, 1: 6, 2: 8, 3: 12}[a12 * a21]
+
+
+@st.composite
+def symmetrizable_cartans(draw):
+    """A rank-3 or rank-4 Cartan-shaped matrix C = D^-1 B with D = diag(d) and
+    B symmetric, returned with d."""
+    n = draw(st.integers(3, 4))
+    d = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i):
+            b = -draw(st.sampled_from((0, 0, 1, 1, 2))) * math.lcm(d[i], d[j])
+            c[i][j], c[j][i] = b // d[i], b // d[j]
+    return c, d
+
+
+def leibniz_det(m):
+    total = Fraction(0)
+    for p in itertools.permutations(range(len(m))):
+        sign = (-1) ** sum(p[b] > p[a] for a in range(len(p)) for b in range(a))
+        term = Fraction(sign)
+        for i, j in enumerate(p):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+@SETTINGS
+@given(symmetrizable_cartans())
+def test_cartan_accepted_iff_leading_minors_positive(cd):
+    c, d = cd
+    n = len(c)
+    # the library scales each connected component of the Dynkin diagram so
+    # that its first simple root gets d = 1
+    first = list(range(n))
+    for _ in range(n):
+        for i in range(n):
+            for j in range(n):
+                if c[i][j]:
+                    first[i] = min(first[i], first[j])
+    sym = [[Fraction(d[i], d[first[i]]) * c[i][j] for j in range(n)] for i in range(n)]
+    minors = [leibniz_det([row[:k] for row in sym[:k]]) for k in range(1, n + 1)]
+    bad = next((k for k, m in enumerate(minors, 1) if m <= 0), None)
+    try:
+        build_root_system(c)
+    except ValueError as e:
+        assert bad is not None
+        assert str(e) == (
+            "not finite type: leading principal minor %d of the symmetrized "
+            "Cartan matrix is %s <= 0" % (bad, minors[bad - 1])
+        )
+    else:
+        assert bad is None
 
 
 JSON = st.recursive(
