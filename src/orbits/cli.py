@@ -188,9 +188,12 @@ def _verify_poset(rs, cap, inject_fault):
         report["oracle_cycle"] = [label_str(L) for L in e.cycle]
     else:
         if inject_fault:
-            idx = np.argwhere(oracle.leq & ~np.eye(len(oracle.labels), dtype=bool))
-            i, j = idx[0]
-            oracle.leq[i, j] = False
+            # drop the first off-diagonal relation in row-major order
+            rows = enumerate(oracle.leq)
+            pair = next(((i, j) for i, row in rows for j in np.flatnonzero(row) if j != i), None)
+            if pair is None:
+                raise ConfigError("--inject-fault needs two related labels; this group has none")
+            oracle.leq[pair] = False
         report["diff"] = compare_posets(formula, oracle)
     failed = report["diff"] or "not_graded" in report or "oracle_cycle" in report
     report["status"] = "FAIL" if failed else "PASS"

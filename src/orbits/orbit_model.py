@@ -51,6 +51,7 @@ from .coxeter import (
     coset_decompose,
     enumerate_group,
     in_parabolic,
+    longest_element,
     min_coset_reps,
     parabolic_trichotomy,
     parse_word,
@@ -575,46 +576,59 @@ def strata_csv(labels):
 
 
 def closure_poset(rs, cap=DEFAULT_CAP):
-    """The full closure poset, built from the pairwise criterion (vectorized)."""
+    """The full closure poset: the pairwise criterion, one stratum block at a time.
+
+    Write a label of stratum I as (a, t), a = sigma*rho in W and t = tau in
+    W^I.  For strata I1 c I2 and each of the K admissible pairs (v, u) the
+    criterion splits into a factor on (a1, a2), le[a2 v, a1 u] masked by
+    l(rho2 v) = l(rho2) - l(v), and a factor on (t1, t2), le[t2 v u^-1, t1].
+    So the block is the boolean product A @ T, an OR of ANDs over the K
+    pairs, with A of shape (|W|^2, K) and T of shape (K, |W^I1| |W^I2|).
+    numpy's bool matmul calls no BLAS and cannot overflow.  The rows of A are
+    taken one sigma1 at a time, and each such product is written straight
+    into leq in label order (sigma, tau, rho), so beside leq a block needs
+    only T and one chunk of A: |W|^2 / |W_I1| and |W_I1| |W| K bytes.
+    """
     tab = rs.tables(cap)
     labels = enumerate_orbits(rs, cap=cap)
     n = len(labels)
     leq = np.zeros((n, n), dtype=bool)
+    mult, inv, le, length = tab.mult, tab.inverse, tab.le, tab.length
 
-    by_stratum = {}
-    for i, L in enumerate(labels):
-        by_stratum.setdefault(L.I, []).append(i)
+    # per stratum: its first label, W^I and W_I as indices in ShortLex order
+    # (the order of the labels), and a[sigma, rho] = sigma*rho.  W_I is the
+    # Bruhat interval below its longest element w0, W^I the w with
+    # l(w w0) = l(w) + l(w0).
+    blocks = {}
+    start = 0
+    for I in strata(rs):
+        w0 = tab.idx(longest_element(rs, I))
+        par = np.flatnonzero(le[:, w0])
+        reps = np.flatnonzero(length[mult[:, w0]] == length + length[w0])
+        blocks[I] = (start, reps, par, mult[np.ix_(reps, par)])
+        start += len(reps) ** 2 * len(par)
 
-    length = tab.length
-    mult = tab.mult
-    inv = tab.inverse
-    le = tab.le
-
-    pos = {}
-    for I, idxs in by_stratum.items():
-        a = np.array([tab.idx(labels[i].sigma * labels[i].rho) for i in idxs])
-        t = np.array([tab.idx(labels[i].tau) for i in idxs])
-        r = np.array([tab.idx(labels[i].rho) for i in idxs])
-        # the labels run over all of W^I x W^I x W_I: the tau column holds
-        # every element of W^I, the rho column every element of W_I
-        pos[I] = (np.array(idxs), a, t, r, np.unique(r))
-
-    for I1, (idx1, a1, t1, _r1, parab1) in pos.items():
-        for I2, (idx2, a2, t2, r2, parab2) in pos.items():
+    # t1 and t2 are W^I1 and W^I2, the values of tau
+    for I1, (o1, t1, par1, a1) in blocks.items():
+        m1, p1 = a1.shape
+        for I2, (o2, t2, par2, a2) in blocks.items():
             if not set(I1) <= set(I2):
                 continue
-            block = np.zeros((len(idx1), len(idx2)), dtype=bool)
-            for v in np.intersect1d(parab2, t1):
-                ok2 = length[mult[r2, v]] == length[r2] - length[v]
-                if not ok2.any():
-                    continue
-                a2v = mult[a2, v]
-                t2v = mult[t2, v]
-                for u in parab1:
-                    a1u = mult[a1, u]
-                    t2vu = mult[t2v, inv[u]]
-                    hit = le[a2v[None, :], a1u[:, None]] & le[t2vu[None, :], t1[:, None]]
-                    block |= hit & ok2[None, :]
-            leq[np.ix_(idx1, idx2)] = block
+            m2, p2 = a2.shape
+            # the admissible pairs: v in W_I2 n W^I1 and u in W_I1
+            v, u = np.meshgrid(np.intersect1d(par2, t1), par1, indexing="ij")
+            v, u = v.ravel(), u.ravel()
+            ok2 = length[mult[par2[:, None], v]] == length[par2][:, None] - length[v]
+            a2v = mult[a2[:, :, None], v]  # [sigma2, rho2, k]
+            T = le[mult[mult[t2[:, None], v], inv[u]].T, t1[:, None, None]]  # [t1, k, t2]
+            for s1 in range(m1):
+                # A[rho1, sigma2, rho2, k], and the rows of sigma1 in leq as
+                # out[rho1, sigma2, tau1, rho2, tau2]
+                A = le[a2v, mult[a1[s1][:, None], u][:, None, None]]
+                A &= ok2
+                first = o1 + s1 * m1 * p1
+                rows = leq[first:first + m1 * p1, o2:o2 + m2 * m2 * p2]
+                out = rows.reshape(m1, p1, m2, m2, p2).transpose(1, 2, 0, 4, 3)
+                np.matmul(A[:, :, None], T, out=out)
 
     return ClosurePoset(labels, leq)

@@ -274,6 +274,17 @@ def test_verify_inject_fault_fails(capsys):
     assert set(entry) == {"below", "above", "only_in"}
 
 
+def test_verify_inject_fault_without_a_relation_exits_2(capsys, tmp_path):
+    spec = tmp_path / "rank0.json"
+    spec.write_text('{"cartan": []}')
+    rc, out, err = run_main(
+        capsys, "verify", "--group", str(spec), "--suite", "poset", "--inject-fault"
+    )
+    assert rc == 2
+    assert out == ""
+    assert err == "error: --inject-fault needs two related labels; this group has none\n"
+
+
 def test_verify_reports_ungraded_formula_poset(capsys, monkeypatch):
     def ungraded(rs, cap):
         p = closure_poset(rs, cap=cap)

@@ -660,6 +660,45 @@ def test_closure_poset_matches_pairwise_closure_leq():
             assert bool(p.leq[i, j]) == closure_leq(labels[i], labels[j])
 
 
+@pytest.mark.parametrize("name", ["B3", "C3", "A1xA2", "A1xB2"])
+def test_closure_poset_matches_closure_leq_on_every_stratum_pair(name):
+    # groups where |W^I| != |W_I|; about 2,000 seeded pairs, drawn per stratum
+    # pair I1 c I2 half from the whole block and half from its relations
+    p = closure_poset(rs_of(name))
+    labels = p.labels
+    rng = random.Random(name)
+    by_stratum = {}
+    for i, L in enumerate(labels):
+        by_stratum.setdefault(L.I, []).append(i)
+    blocks = [
+        (np.array(by_stratum[I1]), np.array(by_stratum[I2]))
+        for I1 in by_stratum
+        for I2 in by_stratum
+        if set(I1) <= set(I2)
+    ]
+    per = 1000 // len(blocks)
+    for rows, cols in blocks:
+        hits = np.argwhere(p.leq[np.ix_(rows, cols)])
+        drawn = [(rng.choice(rows), rng.choice(cols)) for _ in range(per)]
+        drawn += [(rows[a], cols[b]) for a, b in rng.sample(list(hits), min(per, len(hits)))]
+        for i, j in drawn:
+            assert bool(p.leq[i, j]) == closure_leq(labels[i], labels[j]), (
+                label_str(labels[i]),
+                label_str(labels[j]),
+            )
+
+
+def test_closure_poset_works_in_row_chunks():
+    # beside the n^2 bytes of leq, the criterion needs under 4 MB on B3
+    tracemalloc.start()
+    try:
+        p = closure_poset(rs_of("B3"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - len(p.labels) ** 2 < 4 * 2 ** 20
+
+
 def test_hasse_is_transitive_reduction():
     # brute force: i < j is a cover iff no k has i < k < j
     for name in ("A1", "A1xA1", "A2", "B2", "G2"):
