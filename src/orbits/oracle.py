@@ -17,8 +17,14 @@ codimension-one smaller stratum in its intersection components; those
 degeneration edges plus the within-stratum relations generate (by
 transitivity) the whole closure order.
 
-Nothing here calls the closed-form comparison criterion; agreement of
-`oracle_poset` with `closure_poset` is checked, not assumed.
+`oracle_poset` does all of this on the group tables `mult`, `inverse` and
+`length`, in the label layout of `label_layout`: one move table per simple
+root and side, one pass per stratum over the trie of move sequences, and the
+degenerations per pair of strata.  `rank1_act`, `subword_closure_same_stratum`
+and `intersection_components` are the scalar references it is tested
+against.  Nothing here reads the Bruhat table `le` or calls the closed-form
+comparison criterion; agreement of `oracle_poset` with `closure_poset` is
+checked, not assumed.
 """
 
 from __future__ import annotations
@@ -30,10 +36,9 @@ from .orbit_model import (
     LEFT,
     RIGHT,
     ClosurePoset,
-    _as_left,
     canonicalize,
     enumerate_orbits,
-    intersection_components,
+    label_layout,
     label_str,
     rank1_act,
 )
@@ -94,48 +99,160 @@ def oracle_poset(rs, cap=DEFAULT_CAP, alternate=False):
     """Closure poset rebuilt from moves + degenerations + transitivity only.
 
     Generators of the relation: (a) within each stratum, O1 <= O2 whenever O1
-    is in subword_closure_same_stratum(O2), run on move tables: the LEFT ones
-    from rank1_act, each RIGHT one the LEFT one conjugated by the label swap
-    (I, sigma, tau, rho) -> (I, tau, sigma, rho^{-1}); (b) L <= O for every
-    intersection component L of O at a codimension-one smaller stratum.  The
-    generators are then closed transitively in one pass (_transitive_closure).
+    is in subword_closure_same_stratum(O2), computed for all O2 at once by
+    _down_sets; (b) L <= O for every intersection component L of O at a
+    codimension-one smaller stratum (_degenerations).  Both read only the
+    tables mult, inverse and length.  The generators are then closed
+    transitively in one pass (_transitive_closure).
     """
+    tab = rs.tables(cap)
     labels = enumerate_orbits(rs, cap=cap)
     n = len(labels)
-    index = {L: i for i, L in enumerate(labels)}
     gen = np.zeros((n, n), dtype=bool)
-
-    # (a) within-stratum subword saturation, one DP per target label
-    by_stratum = {}
-    for L in labels:
-        by_stratum.setdefault(L.I, []).append(L)
-    for J, stratum_labels in by_stratum.items():
-        local = {L: k for k, L in enumerate(stratum_labels)}
-        m = len(stratum_labels)
-        swap = np.array([local[_as_left(L, RIGHT)] for L in stratum_labels])
-        trans = {}
-        for alpha in range(rs.rank):
-            left = np.array([local[rank1_act(L, LEFT, alpha)] for L in stratum_labels])
-            trans[LEFT, alpha] = left
-            trans[RIGHT, alpha] = swap[left[swap]]
-        start = local[minimal_orbit(rs, J)]
-        for L in stratum_labels:
-            reach = np.zeros(m, dtype=bool)
-            reach[start] = True
-            for move in _moves_for(L, alternate):
-                reach[trans[move][reach]] = True
-            src = [index[stratum_labels[k]] for k in np.nonzero(reach)[0]]
-            gen[src, index[L]] = True
-
-    # (b) degeneration edges into each codimension-one smaller stratum
-    for L in labels:
-        for j in L.I:
-            I = tuple(i for i in L.I if i != j)
-            for C in intersection_components(L, I, cap):
-                gen[index[C], index[L]] = True
+    layout = label_layout(tab)
+    simple = np.array(
+        [tab.idx(rs.simple_reflection(a)) for a in range(rs.rank)], dtype=np.intp
+    )
+    first = _first_letters(tab, simple, alternate)
+    w0 = tab.idx(longest_element(rs))
+    for J, st in layout.items():
+        block = slice(st.offset, st.offset + st.size)
+        # gen[i, j] says labels[i] is below labels[j]: a label's down-set is
+        # its column, a row of the transposed view
+        _down_sets(tab, st, J, simple, first, w0, gen[block, block].T)
+        for j in J:
+            below, above = _degenerations(tab, st, layout[tuple(i for i in J if i != j)])
+            gen[below, above] = True
 
     np.fill_diagonal(gen, False)  # (a) puts each label below itself
     return ClosurePoset(labels, _transitive_closure(gen, labels))
+
+
+def _first_letters(tab, simple, alternate):
+    """first[x]: the first letter of greedy_word(x) (-1 for e) over the
+    letters in increasing order, or with `alternate` in decreasing order.
+    The rest of that word is greedy_word(s_first x)."""
+    first = np.full(len(tab.length), -1)
+    letters = range(len(simple)) if alternate else range(len(simple) - 1, -1, -1)
+    for a in letters:  # the letter that comes first in the order is set last
+        first[tab.length[tab.mult[simple[a]]] < tab.length] = a
+    return first
+
+
+def _left_move(tab, st, J, simple, alpha):
+    """The LEFT move alpha on stratum J, which keeps tau, as positions:
+    sigma -> sigma_to[sigma], and (sigma, rho) -> rho_to[sigma, rho].
+
+    Descent, l(s_a sigma) < l(sigma): sigma shortens.  Exchange,
+    s_a sigma = sigma s_b with b in J: rho shortens to s_b rho if that is
+    shorter.  Otherwise (ascent) the label stays.
+    """
+    mult, length = tab.mult, tab.length
+    m, p = len(st.reps), len(st.par)
+    moved = mult[simple[alpha], st.reps]
+    descent = length[moved] < length[st.reps]
+    sigma_to = np.where(descent, st.coset[moved] // p, np.arange(m))
+    rho_to = np.tile(np.arange(p), (m, 1))
+    for b in J:
+        exchange = moved == mult[st.reps, simple[b]]
+        rho = mult[simple[b], st.par]
+        shorter = length[rho] < length[st.par]
+        rho_to[np.ix_(exchange, shorter)] = st.coset[rho[shorter]]
+    return sigma_to, rho_to
+
+
+def _move_tables(tab, st, J, simple):
+    """moves[k][i]: the label position that move k sends position i of
+    stratum J to; k = alpha is LEFT alpha, k = rank + alpha is RIGHT alpha.
+
+    RIGHT is LEFT conjugated by the label swap (sigma, tau, rho) ->
+    (tau, sigma, rho^-1), an involution of the stratum's positions.
+    """
+    m, p = len(st.reps), len(st.par)
+    sigma, tau, rho = np.indices((m, m, p))
+    swap = ((tau * m + sigma) * p + st.coset[tab.inverse[st.par]][rho]).ravel()
+    left = []
+    for alpha in range(len(simple)):
+        sigma_to, rho_to = _left_move(tab, st, J, simple, alpha)
+        left.append(((sigma_to[sigma] * m + tau) * p + rho_to[sigma, rho]).ravel())
+    return left + [swap[move[swap]] for move in left]
+
+
+def _down_sets(tab, st, J, simple, first, w0, down):
+    """Write into down[i] the labels that the subword moves of label i of
+    stratum J reach from its minimal orbit (all positions in the stratum).
+
+    Label i's moves read the greedy words of sigma*rho*w0 and tau*w0J*w0
+    backwards, the right word's first letter last.  Without that letter (or,
+    once the right word is empty, the left word's first one) they are the
+    greedy words of a parent label.  So label i's move sequence is its
+    parent's plus one last move, and its down-set is the parent's plus that
+    move's image of it.  The labels are taken depth by depth (the number of
+    moves), one move at a time.
+    """
+    mult, length = tab.mult, tab.length
+    m, p, r = len(st.reps), len(st.par), len(simple)
+    a = mult[np.ix_(st.reps, st.par)]  # sigma*rho
+    left_word = mult[a, w0]
+    right_word = mult[mult[st.reps, st.par[-1]], w0]  # st.par[-1] is w0J
+    first_left, first_right = first[left_word], first[right_word]
+    # parents: RIGHT while the right word is not empty, then LEFT
+    tau_up = np.arange(m)
+    go = first_right >= 0
+    tau_up[go] = st.coset[mult[simple[first_right[go]], st.reps[go]]] // p
+    sigma_rho_up = np.arange(m * p).reshape(m, p)
+    go = first_left >= 0
+    sigma_rho_up[go] = st.coset[mult[simple[first_left[go]], a[go]]]
+
+    sigma, tau, rho = np.indices((m, m, p))
+    right = first_right[tau] >= 0
+    move = np.where(right, r + first_right[tau], first_left[sigma, rho]).ravel()
+    parent = np.where(
+        right,
+        (sigma * m + tau_up[tau]) * p + rho,
+        (sigma_rho_up[sigma, rho] // p * m + tau) * p + sigma_rho_up[sigma, rho] % p,
+    ).ravel()
+    depth = (length[left_word][sigma, rho] + length[right_word][tau]).ravel()
+
+    moves = _move_tables(tab, st, J, simple)
+    # the labels each move changes; their images are distinct, as the action
+    # is cancellative (unique_predecessor)
+    moved = [np.flatnonzero(t != np.arange(len(t))) for t in moves]
+    key = depth * 2 * r + move
+    order = np.argsort(key, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
+    root = groups[0]  # the minimal orbit, the one label with no moves (key -1)
+    down[root, root] = True
+    for group in groups[1:]:
+        k = move[group[0]]
+        rows = down[parent[group]]
+        rows[:, moves[k][moved[k]]] |= rows[:, moved[k]]
+        down[group] = rows
+
+
+def _degenerations(tab, st, sub):
+    """(below, above): each label of stratum `st` (J, above) and each
+    intersection component of its closure with the codimension-one stratum
+    `sub` (I, below), as label indices.
+
+    For v in W_J n W^I with l(rho v) = l(rho) - l(v), the component of
+    (sigma, tau, rho) is the canonicalization of (sigma rho v, tau v) in
+    stratum I: tau v = y * y' with y in W^I and y' in W_I, and
+    sigma rho v y'^-1 = sigma' * rho' gives the label (sigma', y, rho').
+    """
+    mult, length = tab.mult, tab.length
+    m, p = len(st.reps), len(st.par)
+    m2, p2 = len(sub.reps), len(sub.par)
+    v = st.par[sub.coset[st.par] % p2 == 0]
+    ok = length[mult[st.par[:, None], v]] == length[st.par][:, None] - length[v]
+    x = mult[mult[np.ix_(st.reps, st.par)][:, :, None], v]  # [sigma, rho, v]
+    y = sub.coset[mult[st.reps[:, None], v]]  # [tau, v]
+    y_par = sub.par[y % p2]
+    z = sub.coset[mult[x[:, None], tab.inverse[y_par][None, :, None]]]
+    below = sub.offset + ((z // p2) * m2 + (y // p2)[None, :, None]) * p2 + z % p2
+    above = st.offset + np.arange(st.size).reshape(m, m, p, 1)
+    ok = np.broadcast_to(ok, below.shape)
+    return below[ok], np.broadcast_to(above, below.shape)[ok]
 
 
 def _transitive_closure(gen, labels):

@@ -38,6 +38,7 @@ import io
 import itertools
 import json
 import re
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,6 +82,8 @@ __all__ = [
     "closure_leq",
     "closure_leq_witness",
     "intersection_components",
+    "Stratum",
+    "label_layout",
     "closure_poset",
     "strata_csv",
     "label_str",
@@ -575,6 +578,48 @@ def strata_csv(labels):
     return buf.getvalue()
 
 
+class Stratum(NamedTuple):
+    """The labels of one stratum I as a block of the canonical label order.
+
+    reps is W^I and par is W_I, as element indices in ShortLex order; label
+    (sigma, tau, rho) = (reps[i], reps[j], par[k]) is number
+    offset + (i |W^I| + j) |W_I| + k.  coset[w] = i |W_I| + k for the coset
+    decomposition w = reps[i] * par[k]; on W^I it is |W_I| times the position,
+    and on W_I the position.
+    """
+
+    offset: int
+    reps: np.ndarray
+    par: np.ndarray
+    coset: np.ndarray
+
+    @property
+    def size(self):
+        """The number of labels, |W^I|^2 |W_I|."""
+        return len(self.reps) ** 2 * len(self.par)
+
+
+def label_layout(tab):
+    """{I: Stratum} for every stratum, in the order of enumerate_orbits.
+
+    Read off mult, inverse and length alone: with w0 the longest element of
+    W_I, W_I is {w : l(w^-1 w0) = l(w0) - l(w)} (the elements below w0 in the
+    weak order) and W^I is {w : l(w w0) = l(w) + l(w0)}.
+    """
+    mult, length = tab.mult, tab.length
+    layout = {}
+    offset = 0
+    for I in strata(tab.system):
+        w0 = tab.idx(longest_element(tab.system, I))
+        par = np.flatnonzero(length[mult[tab.inverse, w0]] == length[w0] - length)
+        reps = np.flatnonzero(length[mult[:, w0]] == length + length[w0])
+        coset = np.empty(len(length), dtype=np.intp)
+        coset[mult[np.ix_(reps, par)].ravel()] = np.arange(len(reps) * len(par))
+        layout[I] = Stratum(offset, reps, par, coset)
+        offset += layout[I].size
+    return layout
+
+
 def closure_poset(rs, cap=DEFAULT_CAP):
     """The full closure poset: the pairwise criterion, one stratum block at a time.
 
@@ -595,18 +640,11 @@ def closure_poset(rs, cap=DEFAULT_CAP):
     leq = np.zeros((n, n), dtype=bool)
     mult, inv, le, length = tab.mult, tab.inverse, tab.le, tab.length
 
-    # per stratum: its first label, W^I and W_I as indices in ShortLex order
-    # (the order of the labels), and a[sigma, rho] = sigma*rho.  W_I is the
-    # Bruhat interval below its longest element w0, W^I the w with
-    # l(w w0) = l(w) + l(w0).
-    blocks = {}
-    start = 0
-    for I in strata(rs):
-        w0 = tab.idx(longest_element(rs, I))
-        par = np.flatnonzero(le[:, w0])
-        reps = np.flatnonzero(length[mult[:, w0]] == length + length[w0])
-        blocks[I] = (start, reps, par, mult[np.ix_(reps, par)])
-        start += len(reps) ** 2 * len(par)
+    # per stratum: its first label, W^I, W_I and a[sigma, rho] = sigma*rho
+    blocks = {
+        I: (st.offset, st.reps, st.par, mult[np.ix_(st.reps, st.par)])
+        for I, st in label_layout(tab).items()
+    }
 
     # t1 and t2 are W^I1 and W^I2, the values of tau
     for I1, (o1, t1, par1, a1) in blocks.items():

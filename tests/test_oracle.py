@@ -1,5 +1,8 @@
 """Move-generated oracle: minimal orbits, traces, subword sets, oracle poset."""
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -7,19 +10,24 @@ from orbits.coxeter import (
     build_root_system,
     cartan_matrix,
     coset_decompose,
+    greedy_word,
     longest_element,
 )
 from orbits.orbit_model import (
+    LEFT,
+    RIGHT,
     ClosurePoset,
     OrbitLabel,
     closure_poset,
     codim,
     enumerate_orbits,
+    intersection_components,
+    label_layout,
     label_str,
     rank1_act,
     closure_leq,
 )
-from orbits import oracle
+from orbits import cli, oracle
 from orbits.oracle import (
     GeneratorCycleError,
     compare_posets,
@@ -160,22 +168,30 @@ def test_subword_closure_matches_same_stratum_closure():
 
 
 def test_oracle_poset_equals_closure_poset():
-    for name in ("A1", "A1xA1", "A2", "B2", "G2", "A3"):
+    for name in ("A1", "A1xA1", "A2", "B2", "G2", "A3", "A1xB2", "B3"):
         rs = rs_of(name)
         assert compare_posets(closure_poset(rs), oracle_poset(rs)) == []
 
 
 def test_oracle_poset_alternate_words():
-    rs = rs_of("B2")
-    assert compare_posets(oracle_poset(rs), oracle_poset(rs, alternate=True)) == []
+    for name in ("B2", "A3", "A1xA2"):
+        rs = rs_of(name)
+        assert compare_posets(oracle_poset(rs), oracle_poset(rs, alternate=True)) == []
 
 
 def test_oracle_poset_rejects_generator_cycle(monkeypatch):
     rs = rs_of("A1")
+    labels = enumerate_orbits(rs)
     top = enumerate_orbits(rs, (0,))[0]
+    degenerations = oracle._degenerations
+
+    def from_top(*args):
+        below, above = degenerations(*args)
+        return np.full_like(below, labels.index(top)), above
+
     # every degeneration edge now starts at the top label, which the
     # within-stratum moves put above the whole dense stratum: a cycle
-    monkeypatch.setattr(oracle, "intersection_components", lambda L, I, cap: [top])
+    monkeypatch.setattr(oracle, "_degenerations", from_top)
     with pytest.raises(GeneratorCycleError) as err:
         oracle_poset(rs)
     cycle = err.value.cycle
@@ -187,6 +203,123 @@ def test_rank_zero_oracle():
     rs = build_root_system([])
     p = oracle_poset(rs)
     assert len(p.labels) == 1
+
+
+# ---------------------------------------------------------------- table oracle
+
+
+def tables_of(name):
+    """(rs, tables, layout, simple reflection indices), as oracle_poset has them."""
+    rs = rs_of(name)
+    tab = rs.tables()
+    simple = np.array([tab.idx(rs.simple_reflection(a)) for a in range(rs.rank)])
+    return rs, tab, label_layout(tab), simple
+
+
+@pytest.mark.parametrize("name", ["A1xA1", "A2", "B2", "G2", "A3", "B3"])
+def test_move_tables_equal_rank1_act(name):
+    rs, tab, layout, simple = tables_of(name)
+    labels = enumerate_orbits(rs)
+    for J, st in layout.items():
+        stratum = labels[st.offset:st.offset + st.size]
+        moves = oracle._move_tables(tab, st, J, simple)
+        for k, side in enumerate([LEFT] * rs.rank + [RIGHT] * rs.rank):
+            alpha = k % rs.rank
+            assert [stratum[i] for i in moves[k]] == [
+                rank1_act(L, side, alpha) for L in stratum
+            ]
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "A1xA2"])
+def test_degenerations_equal_intersection_components(name):
+    rs, tab, layout, _ = tables_of(name)
+    labels = enumerate_orbits(rs)
+    for J, st in layout.items():
+        for j in J:
+            I = tuple(i for i in J if i != j)
+            below, above = oracle._degenerations(tab, st, layout[I])
+            for i in range(st.offset, st.offset + st.size):
+                got = {labels[b] for b in below[above == i]}
+                assert got == set(intersection_components(labels[i], I))
+
+
+@pytest.mark.parametrize("name", ["G2", "A3", "B3"])
+@pytest.mark.parametrize("alternate", [False, True])
+def test_first_letters_spell_greedy_words(name, alternate):
+    rs, tab, _, simple = tables_of(name)
+    first = oracle._first_letters(tab, simple, alternate)
+    letters = range(rs.rank - 1, -1, -1) if alternate else range(rs.rank)
+    for x, w in enumerate(tab.elements):
+        word = []
+        while first[x] >= 0:
+            word.append(int(first[x]))
+            x = tab.mult[simple[first[x]], x]
+        assert x == tab.idx(rs.identity)
+        assert tuple(word) == greedy_word(w, letters)
+
+
+SRC = pathlib.Path(oracle.__file__)
+FORMULA_NAMES = {
+    "le",
+    "bruhat_leq",
+    "closure_poset",
+    "closure_leq",
+    "closure_leq_witness",
+    "intersection_components",
+    "_shortening",
+}
+
+
+def names_in(tree):
+    """Every name and attribute a syntax tree reads or imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_names_in_finds_reads_and_imports():
+    tree = ast.parse("from .coxeter import bruhat_leq\nx = tab.le[0, 1]\n")
+    assert FORMULA_NAMES & names_in(tree) == {"bruhat_leq", "le"}
+
+
+def test_oracle_is_independent_of_the_formula():
+    # the move oracle reads the group tables mult, inverse and length only:
+    # never the Bruhat table, the criterion or its degeneration search
+    assert FORMULA_NAMES & names_in(ast.parse(SRC.read_text())) == set()
+    source = (SRC.parent / "orbit_model.py").read_text()
+    layout = next(
+        node for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name == "label_layout"
+    )
+    assert "le" not in names_in(layout)
+
+
+def test_verify_fails_without_the_exchange_moves(monkeypatch, capsys):
+    left_move = oracle._left_move
+
+    def no_exchange(*args):
+        sigma_to, rho_to = left_move(*args)
+        return sigma_to, np.tile(np.arange(rho_to.shape[1]), (len(rho_to), 1))
+
+    monkeypatch.setattr(oracle, "_left_move", no_exchange)
+    assert cli.main(["verify", "--type", "A2", "--suite", "poset"]) == 1
+    assert capsys.readouterr().out.startswith("FAIL\n")
+
+
+def test_verify_fails_without_degenerations(monkeypatch, capsys):
+    def none(*args):
+        empty = np.empty(0, dtype=np.intp)
+        return empty, empty
+
+    monkeypatch.setattr(oracle, "_degenerations", none)
+    assert cli.main(["verify", "--type", "A2", "--suite", "poset"]) == 1
+    assert capsys.readouterr().out.startswith("FAIL\n")
 
 
 # ---------------------------------------------------------------- poset diffs

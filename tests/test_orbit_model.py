@@ -40,6 +40,7 @@ from orbits.orbit_model import (
     enumerate_orbits,
     intersection_components,
     is_stable,
+    label_layout,
     label_str,
     parse_label,
     point_count_poly,
@@ -686,6 +687,33 @@ def test_closure_poset_matches_closure_leq_on_every_stratum_pair(name):
                 label_str(labels[i]),
                 label_str(labels[j]),
             )
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "A3", "B3", "C3", "A4", "D4"])
+def test_label_layout_parabolic_is_the_bruhat_interval(name):
+    # W_I by the weak-order length test is the Bruhat interval below w0(I)
+    rs = rs_of(name)
+    tab = rs.tables()
+    for I, st in label_layout(tab).items():
+        w0 = tab.idx(longest_element(rs, I))
+        assert np.array_equal(st.par, np.flatnonzero(tab.le[:, w0]))
+
+
+@pytest.mark.parametrize("name", ["A1xA1", "B2", "G2", "A1xA2"])
+def test_label_layout_is_the_label_order(name):
+    rs = rs_of(name)
+    tab = rs.tables()
+    labels = enumerate_orbits(rs)
+    W = tab.elements
+    layout = label_layout(tab)
+    assert list(layout) == strata(rs)
+    for I, st in layout.items():
+        m, p = len(st.reps), len(st.par)
+        for i, L in enumerate(labels[st.offset:st.offset + st.size]):
+            s, t, r = i // (m * p), i // p % m, i % p
+            assert L == OrbitLabel(I, W[st.reps[s]], W[st.reps[t]], W[st.par[r]])
+        for w, c in zip(W, st.coset):
+            assert coset_decompose(w, I) == (W[st.reps[c // p]], W[st.par[c % p]])
 
 
 def test_closure_poset_works_in_row_chunks():
