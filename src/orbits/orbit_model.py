@@ -479,42 +479,62 @@ class ClosurePoset:
         split_dimension grades the order: every strict relation raises it,
         every cover raises it by exactly 1, and all minimal (all maximal)
         labels share one dimension.  So the covers are the relations between
-        consecutive dimension levels.  The grading is checked, not assumed:
-        the order is rebuilt from those covers, one bit-packed row (up-set)
-        per label in decreasing dimension, and must equal leq; otherwise, or
-        when two minimal or two maximal labels differ in dimension,
-        NotGradedError names the pair.
+        consecutive dimension levels.  The grading is checked, not assumed,
+        one level at a time in decreasing dimension: a level's covers are
+        read off its leq columns at the level above, and its up-sets are
+        rebuilt as bit-packed rows, each label's own bit OR the rebuilt rows
+        of its covers (one vectorized OR per cover slot: the k-th cover of
+        every row).  They must equal the level's packed leq rows.  Only the
+        packed rows of two adjacent levels are alive at a time.  When some
+        row differs, NotGradedError names the first differing pair (i, j) in
+        row-major order; when two minimal or two maximal labels differ in
+        dimension, it names those two.
         """
         n = len(self.labels)
         dims = np.array([split_dimension(L) for L in self.labels], dtype=np.int64)
-        levels = {d: np.flatnonzero(dims == d) for d in np.unique(dims)}
-        edges = [np.empty((0, 2), dtype=np.int64)]
-        for d, lower in levels.items():
-            if d + 1 in levels:
-                upper = levels[d + 1]
-                below, above = np.nonzero(self.leq[np.ix_(lower, upper)])
-                edges.append(np.stack([lower[below], upper[above]], axis=1))
-        edges = np.concatenate(edges)
-        edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+        step = max(1, 2 ** 20 // n)  # leq rows read at a time
+        width = (n + 7) // 8
+        upper = np.empty(0, dtype=np.intp)  # the level above, and its rebuilt rows
+        got_up = np.empty((0, width), dtype=np.uint8)
+        covers, first = [], None  # first: the smallest (i, j) where got and leq differ
+        for d in range(int(dims.max()), int(dims.min()) - 1, -1):
+            lower = np.flatnonzero(dims == d)
+            # the level's leq rows, a chunk at a time: packed, and their
+            # entries at the level above, which are the covers
+            want = np.empty((len(lower), width), dtype=np.uint8)
+            flat = [np.empty(0, dtype=np.intp)]
+            for r in range(0, len(lower), step):
+                rows = self.leq[lower[r:r + step]]
+                want[r:r + step] = np.packbits(rows, axis=1)
+                flat.append(np.flatnonzero(rows[:, upper]) + r * len(upper))
+            below, above = np.divmod(np.concatenate(flat), len(upper))
+            covers.append((lower[below], upper[above]))
 
-        starts = np.searchsorted(edges[:, 0], np.arange(n + 1))
-        want = np.packbits(self.leq, axis=1)
-        got = np.zeros_like(want)
-        for i in np.argsort(-dims, kind="stable"):
-            js = edges[starts[i]:starts[i + 1], 1]
-            if len(js):
-                got[i] = np.bitwise_or.reduce(got[js], axis=0)
-            got[i, i >> 3] |= 0x80 >> (i & 7)
-        if not np.array_equal(got, want):
-            i = int(np.flatnonzero((got != want).any(axis=1))[0])
-            j = int(np.flatnonzero(np.unpackbits(got[i] ^ want[i], count=n))[0])
-            if self.leq[i, j]:
+            got = np.zeros_like(want)
+            got[np.arange(len(lower)), lower >> 3] = 0x80 >> (lower & 7)
+            counts = np.bincount(below, minlength=len(lower))
+            starts = np.cumsum(counts) - counts
+            for k in range(counts.max(initial=0)):
+                slot = np.flatnonzero(counts > k)
+                got[slot] |= got_up[above[starts[slot] + k]]
+            want ^= got  # now the bits where got and leq differ
+            bad = np.flatnonzero(want.any(axis=1))
+            if len(bad) and (first is None or lower[bad[0]] < first[0]):
+                j = np.flatnonzero(np.unpackbits(want[bad[0]], count=n))[0]
+                first = (lower[bad[0]], j)
+            upper, got_up = lower, got
+
+        if first is not None:
+            if self.leq[first]:
                 what = "%s <= %s holds but the dimension-one covers do not generate it"
             else:
                 what = "the dimension-one covers generate %s <= %s but it does not hold"
-            raise self._not_graded(i, j, what)
+            raise self._not_graded(*first, what)
 
-        for ends, kind in ((edges[:, 1], "minimal"), (edges[:, 0], "maximal")):
+        a, b = (np.concatenate(e) for e in zip(*covers))
+        order = np.lexsort((b, a))
+        a, b = a[order], b[order]
+        for ends, kind in ((b, "minimal"), (a, "maximal")):
             extreme = np.ones(n, dtype=bool)
             extreme[ends] = False
             extreme = np.flatnonzero(extreme)
@@ -522,7 +542,7 @@ class ClosurePoset:
             if len(odd):
                 what = "%s and %s are both " + kind + " but differ in dimension"
                 raise self._not_graded(extreme[0], odd[0], what)
-        return tuple((int(i), int(j)) for i, j in edges)
+        return tuple(zip(a.tolist(), b.tolist()))
 
     def _not_graded(self, i, j, what):
         pair = (self.labels[i], self.labels[j])
@@ -532,14 +552,17 @@ class ClosurePoset:
             pair,
         )
 
-    def to_json_obj(self):
-        return {
-            "labels": [label_str(L) for L in self.labels],
-            "hasse": [list(e) for e in self.hasse],
-        }
-
     def to_json(self):
-        return json.dumps(self.to_json_obj(), indent=2, sort_keys=True)
+        """{"labels": [...], "hasse": [[i, j], ...]} as JSON, byte for byte
+        json.dumps(..., indent=2, sort_keys=True), but filled into one
+        template: Python's indenting encoder is pure Python."""
+        pair = "[\n      %d,\n      %d\n    ]"
+        hasse = ",\n    ".join([pair] * len(self.hasse))
+        hasse %= tuple(itertools.chain.from_iterable(self.hasse))
+        labels = ",\n    ".join(json.dumps(label_str(L)) for L in self.labels)
+        return '{\n  "hasse": %s,\n  "labels": %s\n}' % tuple(
+            "[\n    %s\n  ]" % body if body else "[]" for body in (hasse, labels)
+        )
 
     def to_dot(self):
         lines = ["digraph closure {", "  rankdir=BT;", '  node [shape=box];']

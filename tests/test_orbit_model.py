@@ -1,10 +1,13 @@
 """Orbit labels, dimensions, rank-1 moves, closure order, components, posets."""
 
+import functools
+import json
 import random
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbits.coxeter import (
     ASCENT_IN_WJ,
@@ -766,6 +769,102 @@ def test_hasse_rejects_missing_transitive_relation():
     assert "generate" in str(err.value)
 
 
+def hasse_reference(p):
+    """ClosurePoset.hasse by the whole-matrix check: the covers of all level
+    pairs, then every label's up-set rebuilt one row at a time into one packed
+    n x n/8 array and compared with all of leq at once."""
+    n = len(p.labels)
+    dims = np.array([split_dimension(L) for L in p.labels])
+    levels = {d: np.flatnonzero(dims == d) for d in np.unique(dims)}
+    edges = [np.empty((0, 2), dtype=np.int64)]
+    for d, lower in levels.items():
+        if d + 1 in levels:
+            upper = levels[d + 1]
+            below, above = np.nonzero(p.leq[np.ix_(lower, upper)])
+            edges.append(np.stack([lower[below], upper[above]], axis=1))
+    edges = np.concatenate(edges)
+    edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+
+    def not_graded(i, j, what):
+        pair = (p.labels[i], p.labels[j])
+        return NotGradedError(
+            "closure order is not graded by split_dimension: "
+            + what % (label_str(pair[0]), label_str(pair[1])),
+            pair,
+        )
+
+    starts = np.searchsorted(edges[:, 0], np.arange(n + 1))
+    want = np.packbits(p.leq, axis=1)
+    got = np.zeros_like(want)
+    for i in np.argsort(-dims, kind="stable"):
+        js = edges[starts[i]:starts[i + 1], 1]
+        if len(js):
+            got[i] = np.bitwise_or.reduce(got[js], axis=0)
+        got[i, i >> 3] |= 0x80 >> (i & 7)
+    if not np.array_equal(got, want):
+        i = int(np.flatnonzero((got != want).any(axis=1))[0])
+        j = int(np.flatnonzero(np.unpackbits(got[i] ^ want[i], count=n))[0])
+        if p.leq[i, j]:
+            what = "%s <= %s holds but the dimension-one covers do not generate it"
+        else:
+            what = "the dimension-one covers generate %s <= %s but it does not hold"
+        raise not_graded(i, j, what)
+
+    for ends, kind in ((edges[:, 1], "minimal"), (edges[:, 0], "maximal")):
+        extreme = np.ones(n, dtype=bool)
+        extreme[ends] = False
+        extreme = np.flatnonzero(extreme)
+        odd = extreme[dims[extreme] != dims[extreme[0]]]
+        if len(odd):
+            what = "%s and %s are both " + kind + " but differ in dimension"
+            raise not_graded(extreme[0], odd[0], what)
+    return tuple((int(i), int(j)) for i, j in edges)
+
+
+@functools.lru_cache(maxsize=None)
+def poset_of(name):
+    return closure_poset(rs_of(name))
+
+
+def outcome_or_error(f, p):
+    """f(p), or the pair and message of the NotGradedError it raises."""
+    try:
+        return f(p)
+    except NotGradedError as e:
+        return e.pair, str(e)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_hasse_matches_the_whole_matrix_reference(data):
+    p = poset_of(data.draw(st.sampled_from(["A1", "A1xA1", "A2", "B2", "G2"])))
+    n = len(p.labels)
+    entry = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    leq = p.leq.copy()
+    for i, j in data.draw(st.lists(entry, min_size=1, max_size=5)):
+        leq[i, j] = not leq[i, j]
+    faulty = ClosurePoset(p.labels, leq)
+    want = outcome_or_error(hasse_reference, faulty)
+    got = outcome_or_error(lambda q: q.hasse, faulty)
+    assert got == want
+
+
+def test_hasse_and_json_peak_memory():
+    # the packed rows of two adjacent levels, never all n of them; the JSON
+    # with no per-token chunks of an indenting encoder
+    p = closure_poset(rs_of("B3"))
+    peaks = []
+    for step in (lambda: p.hasse, p.to_json):
+        tracemalloc.start()
+        try:
+            step()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 10 * 2 ** 20
+    assert peaks[1] < 8 * 2 ** 20
+
+
 def test_hasse_is_computed_on_first_use():
     p = closure_poset(rs_of("A1"))
     assert "hasse" not in vars(p)
@@ -794,7 +893,7 @@ def test_a1_poset_extremes():
 def test_poset_serialization_formats():
     rs = rs_of("A1")
     p = closure_poset(rs)
-    obj = p.to_json_obj()
+    obj = json.loads(p.to_json())
     assert set(obj) == {"labels", "hasse"}
     assert len(obj["labels"]) == 6
     assert sorted(map(tuple, obj["hasse"])) == sorted(map(tuple, p.hasse))
@@ -804,6 +903,13 @@ def test_poset_serialization_formats():
     lines = csv_text.strip().split("\n")
     assert lines[0] == "stratum,count,min_dim,max_dim"
     assert lines[1:] == ["[],4,0,2", "[1],2,2,3"]
+
+
+@pytest.mark.parametrize("name", ["A1", "A1xA1", "A2", "B2", "G2", "A3", ""])
+def test_to_json_is_the_indenting_encoders_bytes(name):
+    p = closure_poset(rs_of(name) if name else build_root_system([]))
+    obj = {"labels": [label_str(L) for L in p.labels], "hasse": [list(e) for e in p.hasse]}
+    assert p.to_json() == json.dumps(obj, indent=2, sort_keys=True)
 
 
 def test_rank_zero_poset():
