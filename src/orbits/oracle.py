@@ -12,19 +12,21 @@ and apply the corresponding LEFT/RIGHT moves last letter first.  Applying all
 of them drives the minimal orbit's coordinates monotonically onto
 (sigma2*rho2, tau2); applying arbitrary subsequences reaches exactly the
 labels whose closures lie inside closure(O2).  That subword saturation is the
-same-stratum order.  Crossing strata, the closure of an orbit meets each
-codimension-one smaller stratum in its intersection components; those
-degeneration edges plus the within-stratum relations generate (by
-transitivity) the whole closure order.
+same-stratum order.  Crossing strata, the closure of an orbit O meets the
+closure of a smaller stratum in the closures of O's intersection components,
+and every smaller stratum lies in the closure of a codimension-one one
+(Brion 1998).  So, with the strata taken in increasing order, O's down-set is
+its within-stratum down-set together with the finished down-sets of its own
+components at the codimension-one strata; no transitive closure is taken.
 
 `oracle_poset` does all of this on the group tables `mult`, `inverse` and
 `length`, in the label layout of `label_layout`: one move table per simple
 root and side, one pass per stratum over the trie of move sequences, and the
-degenerations per pair of strata.  `rank1_act`, `subword_closure_same_stratum`
-and `intersection_components` are the scalar references it is tested
-against.  Nothing here reads the Bruhat table `le` or calls the closed-form
-comparison criterion; agreement of `oracle_poset` with `closure_poset` is
-checked, not assumed.
+degenerations per pair of strata, ORed into bit-packed down-sets.
+`rank1_act`, `subword_closure_same_stratum` and `intersection_components`
+are the scalar references it is tested against.  Nothing here reads the
+Bruhat table `le` or calls the closed-form comparison criterion; agreement of
+`oracle_poset` with `closure_poset` is checked, not assumed.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .orbit_model import (
     enumerate_orbits,
     label_layout,
     label_str,
+    or_rows,
     rank1_act,
 )
 
@@ -87,8 +90,8 @@ def subword_closure_same_stratum(O2, alternate=False):
 
 
 class GeneratorCycleError(ValueError):
-    """The oracle's generator edges contain a cycle; .cycle lists its labels,
-    each below the next and the last below the first."""
+    """The oracle's relation is not antisymmetric on some stratum; .cycle
+    lists two of its labels, each below the other."""
 
     def __init__(self, message, cycle):
         super().__init__(message)
@@ -96,19 +99,22 @@ class GeneratorCycleError(ValueError):
 
 
 def oracle_poset(rs, cap=DEFAULT_CAP, alternate=False):
-    """Closure poset rebuilt from moves + degenerations + transitivity only.
+    """Closure poset rebuilt from moves and degenerations, stratum by stratum.
 
-    Generators of the relation: (a) within each stratum, O1 <= O2 whenever O1
-    is in subword_closure_same_stratum(O2), computed for all O2 at once by
-    _down_sets; (b) L <= O for every intersection component L of O at a
-    codimension-one smaller stratum (_degenerations).  Both read only the
-    tables mult, inverse and length.  The generators are then closed
-    transitively in one pass (_transitive_closure).
+    Each label's down-set is kept as a bit-packed row, filled in the order of
+    label_layout, smaller strata first: (a) within its stratum J, every O1
+    in subword_closure_same_stratum(O2), computed for all O2 at once by
+    _down_sets; (b) OR the finished rows of its intersection components at
+    each codimension-one smaller stratum (_degenerations, or_rows).  Both
+    read only the tables mult, inverse and length.  Each stratum's final
+    diagonal block must be antisymmetric: otherwise GeneratorCycleError names
+    the first pair (i, j) of it in row-major order.  The rows are the columns
+    of leq, which is filled one column chunk at a time.
     """
     tab = rs.tables(cap)
     labels = enumerate_orbits(rs, cap=cap)
     n = len(labels)
-    gen = np.zeros((n, n), dtype=bool)
+    down = np.zeros((n, (n + 7) // 8), dtype=np.uint8)  # bit j of down[i]: j <= i
     layout = label_layout(tab)
     simple = np.array(
         [tab.idx(rs.simple_reflection(a)) for a in range(rs.rank)], dtype=np.intp
@@ -116,16 +122,32 @@ def oracle_poset(rs, cap=DEFAULT_CAP, alternate=False):
     first = _first_letters(tab, simple, alternate)
     w0 = tab.idx(longest_element(rs))
     for J, st in layout.items():
-        block = slice(st.offset, st.offset + st.size)
-        # gen[i, j] says labels[i] is below labels[j]: a label's down-set is
-        # its column, a row of the transposed view
-        _down_sets(tab, st, J, simple, first, w0, gen[block, block].T)
+        # the stratum's diagonal block of down, padded to whole bytes
+        rows, shift = down[st.offset:st.offset + st.size], st.offset & 7
+        cols = slice(st.offset >> 3, (st.offset + st.size + 7) >> 3)
+        block = np.zeros((st.size, shift + st.size), dtype=bool)
+        _down_sets(tab, st, J, simple, first, w0, block[:, shift:])
+        rows[:, cols] = np.packbits(block, axis=1)
         for j in J:
             below, above = _degenerations(tab, st, layout[tuple(i for i in J if i != j)])
-            gen[below, above] = True
+            or_rows(rows, above - st.offset, down, below)
+        final = np.unpackbits(rows[:, cols], axis=1)[:, shift:shift + st.size]
+        both = final & final.T
+        np.fill_diagonal(both, 0)
+        if both.any():
+            cycle = [labels[st.offset + k] for k in np.argwhere(both)[0]]
+            raise GeneratorCycleError(
+                "oracle generator edges form a cycle: %s"
+                % " <= ".join(label_str(L) for L in cycle + cycle[:1]),
+                cycle,
+            )
 
-    np.fill_diagonal(gen, False)  # (a) puts each label below itself
-    return ClosurePoset(labels, _transitive_closure(gen, labels))
+    leq = np.empty((n, n), dtype=bool)
+    step = max(1, 2 ** 20 // n)  # down rows unpacked at a time
+    for c in range(0, n, step):
+        chunk = np.unpackbits(down[c:c + step], axis=1, count=n)
+        leq[:, c:c + step] = chunk.view(bool).T
+    return ClosurePoset(labels, leq)
 
 
 def _first_letters(tab, simple, alternate):
@@ -253,52 +275,6 @@ def _degenerations(tab, st, sub):
     above = st.offset + np.arange(st.size).reshape(m, m, p, 1)
     ok = np.broadcast_to(ok, below.shape)
     return below[ok], np.broadcast_to(above, below.shape)[ok]
-
-
-def _transitive_closure(gen, labels):
-    """Reflexive-transitive closure of the strict generators gen[i, j] (i below j).
-
-    One pass in reverse topological order of the generator graph (Kahn's
-    algorithm): each label's up-set is its own bit OR the bit-packed up-sets
-    of its generator successors, which are all final by then.  A cycle among
-    the generators raises GeneratorCycleError.
-    """
-    n = len(labels)
-    succ = [np.flatnonzero(row) for row in gen]
-    indegree = np.count_nonzero(gen, axis=0)
-    order = list(np.flatnonzero(indegree == 0))
-    for i in order:
-        js = succ[i]
-        indegree[js] -= 1
-        order.extend(js[indegree[js] == 0])
-    if len(order) < n:
-        cycle = [labels[i] for i in _find_cycle(gen, indegree > 0)]
-        raise GeneratorCycleError(
-            "oracle generator edges form a cycle: %s"
-            % " <= ".join(label_str(L) for L in cycle + cycle[:1]),
-            cycle,
-        )
-    up = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
-    for i in reversed(order):
-        js = succ[i]
-        if len(js):
-            up[i] = np.bitwise_or.reduce(up[js], axis=0)
-        up[i, i >> 3] |= 0x80 >> (i & 7)
-    return np.unpackbits(up, axis=1, count=n).view(bool)
-
-
-def _find_cycle(gen, left):
-    """A cycle inside `left`, the labels Kahn's algorithm could not order:
-    each of them has a generator predecessor in `left`, so walking back from
-    any of them must repeat."""
-    path = [int(np.flatnonzero(left)[0])]
-    seen = {path[0]: 0}
-    while True:
-        i = int(np.flatnonzero(gen[:, path[-1]] & left)[0])
-        if i in seen:
-            return path[seen[i]:][::-1]
-        seen[i] = len(path)
-        path.append(i)
 
 
 def compare_posets(p1, p2):

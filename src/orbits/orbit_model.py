@@ -82,6 +82,7 @@ __all__ = [
     "closure_leq",
     "closure_leq_witness",
     "intersection_components",
+    "or_rows",
     "Stratum",
     "label_layout",
     "closure_poset",
@@ -460,6 +461,20 @@ class NotGradedError(ValueError):
         self.pair = pair
 
 
+def or_rows(out, owner, rows, source):
+    """out[owner[e]] |= rows[source[e]] for every edge e, with owner sorted.
+
+    One vectorized OR per slot, the k-th edge of every owner, so that no row
+    of out repeats within a slot (a repeated fancy index would keep only one
+    of its ORs).  Both .hasse and the move oracle build packed rows with it.
+    """
+    counts = np.bincount(owner, minlength=len(out))
+    starts = np.cumsum(counts) - counts
+    for k in range(counts.max(initial=0)):
+        slot = np.flatnonzero(counts > k)
+        out[slot] |= rows[source[starts[slot] + k]]
+
+
 class ClosurePoset:
     """All labels of one group plus the closure partial order.
 
@@ -483,12 +498,11 @@ class ClosurePoset:
         one level at a time in decreasing dimension: a level's covers are
         read off its leq columns at the level above, and its up-sets are
         rebuilt as bit-packed rows, each label's own bit OR the rebuilt rows
-        of its covers (one vectorized OR per cover slot: the k-th cover of
-        every row).  They must equal the level's packed leq rows.  Only the
-        packed rows of two adjacent levels are alive at a time.  When some
-        row differs, NotGradedError names the first differing pair (i, j) in
-        row-major order; when two minimal or two maximal labels differ in
-        dimension, it names those two.
+        of its covers (or_rows).  They must equal the level's packed leq
+        rows.  Only the packed rows of two adjacent levels are alive at a
+        time.  When some row differs, NotGradedError names the first
+        differing pair (i, j) in row-major order; when two minimal or two
+        maximal labels differ in dimension, it names those two.
         """
         n = len(self.labels)
         dims = np.array([split_dimension(L) for L in self.labels], dtype=np.int64)
@@ -512,11 +526,7 @@ class ClosurePoset:
 
             got = np.zeros_like(want)
             got[np.arange(len(lower)), lower >> 3] = 0x80 >> (lower & 7)
-            counts = np.bincount(below, minlength=len(lower))
-            starts = np.cumsum(counts) - counts
-            for k in range(counts.max(initial=0)):
-                slot = np.flatnonzero(counts > k)
-                got[slot] |= got_up[above[starts[slot] + k]]
+            or_rows(got, below, got_up, above)
             want ^= got  # now the bits where got and leq differ
             bad = np.flatnonzero(want.any(axis=1))
             if len(bad) and (first is None or lower[bad[0]] < first[0]):

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,6 +198,84 @@ def test_oracle_poset_rejects_generator_cycle(monkeypatch):
     cycle = err.value.cycle
     assert top in cycle and len(cycle) == 2
     assert str(err.value).count(" <= ") == len(cycle)
+
+
+def test_oracle_poset_rejects_cycle_inside_a_stratum(monkeypatch):
+    down_sets = oracle._down_sets
+
+    def symmetric(*args):
+        down_sets(*args)
+        down = args[-1]
+        down |= down.T.copy()
+
+    # every within-stratum relation now also holds the other way round
+    monkeypatch.setattr(oracle, "_down_sets", symmetric)
+    with pytest.raises(GeneratorCycleError) as err:
+        oracle_poset(rs_of("A2"))
+    cycle = err.value.cycle
+    assert len(cycle) == 2 and cycle[0] != cycle[1] and cycle[0].I == cycle[1].I
+    assert str(err.value).count(" <= ") == len(cycle)
+
+
+def kahn_reference(rs, alternate=False):
+    """oracle_poset's relation as the transitive closure of its generators:
+    the within-stratum down-sets of _down_sets and the edges of
+    _degenerations in one dense n x n matrix, closed by Kahn's algorithm with
+    each label's packed up-set its own bit OR those of its successors."""
+    tab = rs.tables()
+    layout = label_layout(tab)
+    n = sum(st.size for st in layout.values())
+    simple = np.array([tab.idx(rs.simple_reflection(a)) for a in range(rs.rank)])
+    first = oracle._first_letters(tab, simple, alternate)
+    w0 = tab.idx(longest_element(rs))
+    gen = np.zeros((n, n), dtype=bool)  # gen[i, j]: labels[i] is below labels[j]
+    for J, st in layout.items():
+        block = slice(st.offset, st.offset + st.size)
+        oracle._down_sets(tab, st, J, simple, first, w0, gen[block, block].T)
+        for j in J:
+            sub = layout[tuple(i for i in J if i != j)]
+            below, above = oracle._degenerations(tab, st, sub)
+            gen[below, above] = True
+    np.fill_diagonal(gen, False)
+
+    succ = [np.flatnonzero(row) for row in gen]
+    indegree = np.count_nonzero(gen, axis=0)
+    order = list(np.flatnonzero(indegree == 0))
+    for i in order:
+        js = succ[i]
+        indegree[js] -= 1
+        order.extend(js[indegree[js] == 0])
+    assert len(order) == n, "the generators form a cycle"
+    up = np.zeros((n, (n + 7) // 8), dtype=np.uint8)
+    for i in reversed(order):
+        if len(succ[i]):
+            up[i] = np.bitwise_or.reduce(up[succ[i]], axis=0)
+        up[i, i >> 3] |= 0x80 >> (i & 7)
+    return np.unpackbits(up, axis=1, count=n).view(bool)
+
+
+@pytest.mark.parametrize(
+    "name", ["A1", "A1xA1", "A2", "B2", "G2", "A3", "A1xA2", "A1xB2", "B3", "C3"]
+)
+@pytest.mark.parametrize("alternate", [False, True])
+def test_oracle_poset_equals_the_transitive_closure(name, alternate):
+    # a label's own components suffice: the stratum-by-stratum ORs give the
+    # transitive closure of all the generators
+    rs = rs_of(name)
+    got = oracle_poset(rs, alternate=alternate).leq
+    assert np.array_equal(got, kahn_reference(rs, alternate))
+
+
+def test_oracle_poset_peak_memory():
+    # packed down rows and one stratum block beside the n^2 bytes of leq: no
+    # dense n x n generator matrix
+    tracemalloc.start()
+    try:
+        p = oracle_poset(rs_of("B3"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - len(p.labels) ** 2 < 16 * 2 ** 20
 
 
 def test_rank_zero_oracle():
