@@ -133,16 +133,12 @@ def cmd_compare(args):
     if O1 == O2:
         print("EQUAL")
         return 0
-    wit = closure_leq_witness(O1, O2, cap=cap)
-    if wit is not None:
-        u, v = wit
-        print("LEQ (witness u=%s, v=%s)" % (word_str(u), word_str(v)))
-        return 0
-    wit = closure_leq_witness(O2, O1, cap=cap)
-    if wit is not None:
-        u, v = wit
-        print("GEQ (witness u=%s, v=%s)" % (word_str(u), word_str(v)))
-        return 0
+    for verdict, below, above in (("LEQ", O1, O2), ("GEQ", O2, O1)):
+        wit = closure_leq_witness(below, above, cap=cap)
+        if wit is not None:
+            u, v = wit
+            print("%s (witness u=%s, v=%s)" % (verdict, word_str(u), word_str(v)))
+            return 0
     print("INCOMPARABLE")
     return 0
 

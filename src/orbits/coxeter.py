@@ -731,9 +731,6 @@ class WeylTables:
         n = len(self.elements)
         self.index = {w.perm: i for i, w in enumerate(self.elements)}
         self.length = np.array([w.length for w in self.elements], dtype=np.int32)
-        self.inverse = np.array(
-            [self.index[w.inverse().perm] for w in self.elements], dtype=np.int32
-        )
 
         rmul = np.empty((system.rank, n), dtype=np.int32)  # rmul[g, i]: w_i * s_g
         for g in range(system.rank):
@@ -749,6 +746,7 @@ class WeylTables:
                 acc = rmul[g][acc]
             mult[:, j] = acc
         self.mult = mult
+        self.inverse = mult.argmin(axis=1).astype(np.int32)  # e is 0, once per row
 
         descent = self.length[rmul] < self.length  # descent[g, u]: u s_g < u
         rows = np.zeros((n, n), dtype=bool)  # rows[w], the lower set of w

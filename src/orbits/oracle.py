@@ -261,6 +261,9 @@ def _degenerations(tab, st, sub):
     (sigma, tau, rho) is the canonicalization of (sigma rho v, tau v) in
     stratum I: tau v = y * y' with y in W^I and y' in W_I, and
     sigma rho v y'^-1 = sigma' * rho' gives the label (sigma', y, rho').
+    The length test picks components, not the order: each v failing it adds a
+    C that meets the criterion with v and the u undoing canonicalization's slide,
+    so C <= the label anyway (closure_poset's lemma); tests pin the component set.
     """
     mult, length = tab.mult, tab.length
     m, p = len(st.reps), len(st.par)

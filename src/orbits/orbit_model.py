@@ -24,10 +24,10 @@ rho s_b.  Orbit closures are ordered by
               with  sigma1 rho1 u >= sigma2 rho2 v,   tau1 >= tau2 v u^{-1},
               and   l(rho2) = l(rho2 v) + l(v),
 
-which for I1 = I2 forces v = e.  Closures of strata meet smaller strata in a
-union of irreducible components, one for each v in W_J n W^I with
-l(sigma rho) = l(sigma rho v) + l(v): the component labeled by canonicalizing
-(sigma rho v, tau v) in stratum I.
+which for I1 = I2 forces v = e.  The order does not need the length condition
+(closure_poset), but it fixes the witness and picks the components: closure(O)
+meets a smaller stratum I in one component for each v in W_J n W^I with
+l(sigma rho) = l(sigma rho v) + l(v), canonicalizing (sigma rho v, tau v) in I.
 """
 
 from __future__ import annotations
@@ -656,22 +656,27 @@ def label_layout(tab):
 def closure_poset(rs, cap=DEFAULT_CAP):
     """The full closure poset: the pairwise criterion, one stratum block at a time.
 
-    Write a label of stratum I as (a, t), a = sigma*rho in W and t = tau in
-    W^I.  For strata I1 c I2 and each of the K admissible pairs (v, u) the
-    criterion splits into a factor on (a1, a2), le[a2 v, a1 u] masked by
-    l(rho2 v) = l(rho2) - l(v), and a factor on (t1, t2), le[t2 v u^-1, t1].
-    So the block is the boolean product A @ T, an OR of ANDs over the K
-    pairs, with A of shape (|W|^2, K) and T of shape (K, |W^I1| |W^I2|).
-    numpy's bool matmul calls no BLAS and cannot overflow.  The rows of A are
-    taken one sigma1 at a time, and each such product is written straight
-    into leq in label order (sigma, tau, rho), so beside leq a block needs
-    only T and one chunk of A: |W|^2 / |W_I1| and |W_I1| |W| K bytes.
+    Write a label of stratum I as (a, t), a = sigma*rho in W and t = tau in W^I.
+    For strata I1 c I2 and each of the K pairs (v in W_I2 n W^I1, u in W_I1)
+    the criterion is le[a2 v, a1 u] and le[t2 v u^-1, t1], so the block is the
+    boolean product A @ T, an OR of ANDs over the K pairs, with A of shape
+    (|W|^2, K) and T of shape (K, |W^I1| |W^I2|).  A's rows are taken one
+    sigma1 at a time, each product written straight into leq in label order.
+    The condition l(rho2 v) = l(rho2) - l(v) is left out by a lemma (tools from
+    Bjorner-Brenti, GTM 231): if (v, u) meets both inequalities, an admissible
+    (v', u u3) does.  (1) The letters of a reduced word of v that shorten rho2
+    spell y0 <= v: l(rho2 y0) = l(rho2) - l(y0), rho2 y0 <= rho2 v (lifting).
+    (2) Split y0 = v' u0 with v' in W^I1, u0 in W_I1; then v' is admissible.
+    (3) As sigma2 is in W^I2, a2 y0 <= a2 v <= a1 u.  The letters of u0^-1
+    that lengthen a1 u spell u3, and the Demazure product is monotone, so
+    a2 v' = a2 y0 u0^-1 <= a1 u u3.  (4) v' u3^-1 <= v' u0 = y0 <= v, so
+    t2 v' (u u3)^-1 <= t2 v u^-1 <= t1 by the subword property.
     """
     tab = rs.tables(cap)
     labels = enumerate_orbits(rs, cap=cap)
     n = len(labels)
     leq = np.zeros((n, n), dtype=bool)
-    mult, inv, le, length = tab.mult, tab.inverse, tab.le, tab.length
+    mult, inv, le = tab.mult, tab.inverse, tab.le
 
     # per stratum: its first label, W^I, W_I and a[sigma, rho] = sigma*rho
     blocks = {
@@ -686,17 +691,14 @@ def closure_poset(rs, cap=DEFAULT_CAP):
             if not set(I1) <= set(I2):
                 continue
             m2, p2 = a2.shape
-            # the admissible pairs: v in W_I2 n W^I1 and u in W_I1
             v, u = np.meshgrid(np.intersect1d(par2, t1), par1, indexing="ij")
             v, u = v.ravel(), u.ravel()
-            ok2 = length[mult[par2[:, None], v]] == length[par2][:, None] - length[v]
             a2v = mult[a2[:, :, None], v]  # [sigma2, rho2, k]
             T = le[mult[mult[t2[:, None], v], inv[u]].T, t1[:, None, None]]  # [t1, k, t2]
             for s1 in range(m1):
                 # A[rho1, sigma2, rho2, k], and the rows of sigma1 in leq as
                 # out[rho1, sigma2, tau1, rho2, tau2]
                 A = le[a2v, mult[a1[s1][:, None], u][:, None, None]]
-                A &= ok2
                 first = o1 + s1 * m1 * p1
                 rows = leq[first:first + m1 * p1, o2:o2 + m2 * m2 * p2]
                 out = rows.reshape(m1, p1, m2, m2, p2).transpose(1, 2, 0, 4, 3)

@@ -169,7 +169,7 @@ def test_subword_closure_matches_same_stratum_closure():
 
 
 def test_oracle_poset_equals_closure_poset():
-    for name in ("A1", "A1xA1", "A2", "B2", "G2", "A3", "A1xB2", "B3"):
+    for name in ("A1", "A1xA1", "A2", "B2", "G2", "A3", "A1xB2", "B3", "A2xA2"):
         rs = rs_of(name)
         assert compare_posets(closure_poset(rs), oracle_poset(rs)) == []
 

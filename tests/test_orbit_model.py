@@ -603,6 +603,66 @@ def test_length_condition_equivalence():
                         assert lhs == rhs
 
 
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3", "A1xB2", "A2xA2"])
+def test_length_condition_is_redundant_in_the_closure_order(name):
+    """closure_poset's lemma, run on the tables alone: for every stratum pair
+    I1 c I2, rho2 in W_I2 and v in W_I2 n W^I1 with l(rho2 v) != l(rho2) -
+    l(v), and every a2 = sigma2 rho2, a1 in W and u in W_I1 with a2 v <= a1 u,
+    steps 1-4 give an admissible v' with a2 v' <= a1 u u3 and
+    v' (u u3)^-1 <= v u^-1."""
+    rs = rs_of(name)
+    tab = rs.tables()
+    mult, inv, le, length = tab.mult, tab.inverse, tab.le, tab.length
+    simple = np.array([tab.idx(rs.simple_reflection(a)) for a in range(rs.rank)])
+    # the first letter of each greedy word: its smallest left descent
+    first = simple[np.argmax(length[mult[simple]] < length, axis=0)]
+    layout = label_layout(tab)
+    W = np.arange(len(length))
+    checked = 0
+    for I1, st1 in layout.items():
+        p1 = len(st1.par)
+        for I2, st2 in layout.items():
+            if not set(I1) <= set(I2):
+                continue
+            rho, v = np.meshgrid(st2.par, np.intersect1d(st2.par, st1.reps), indexing="ij")
+            bad = length[mult[rho, v]] != length[rho] - length[v]
+            rho, v = rho[bad], v[bad]
+            # 1. the letters of v's greedy word that shorten rho2 spell y0
+            y0, x, rest = np.zeros_like(v), rho, v
+            for _ in range(length.max()):
+                s = first[rest]
+                keep = (rest != 0) & (length[mult[x, s]] < length[x])
+                x, y0 = np.where(keep, mult[x, s], x), np.where(keep, mult[y0, s], y0)
+                rest = np.where(rest != 0, mult[s, rest], rest)
+            assert np.array_equal(x, mult[rho, y0]) and le[y0, v].all()
+            # 2. y0 = v' u0 with v' in W^I1 and u0 in W_I1
+            vp = st1.reps[st1.coset[y0] // p1]
+            u0 = st1.par[st1.coset[y0] % p1]
+            assert np.isin(vp, st2.par).all() and np.isin(vp, st1.reps).all()
+            assert (length[mult[rho, vp]] == length[rho] - length[vp]).all()
+            # 3. the letters of u0^-1 that lengthen a1 u spell u3, over
+            # [rho2 and v, a1, u]
+            a1u = mult[W[None, :, None], st1.par[None, None, :]]
+            x, u3, rest = a1u, 0, inv[u0][:, None, None]
+            for _ in range(length.max()):
+                s = first[rest]
+                keep = (rest != 0) & (length[mult[x, s]] > length[x])
+                x, u3 = np.where(keep, mult[x, s], x), np.where(keep, mult[u3, s], u3)
+                rest = np.where(rest != 0, mult[s, rest], rest)
+            uu3 = mult[st1.par[None, None, :], u3]
+            assert np.array_equal(x, mult[W[None, :, None], uu3])
+            # the hypothesis a2 v <= a1 u over [sigma2, rho2 and v, a1, u]
+            a2 = mult[st2.reps[:, None], rho[None, :]]
+            a2v, a2vp = mult[a2, v], mult[a2, vp]
+            hyp = le[a2v[:, :, None, None], a1u[None]]
+            assert le[a2vp[:, :, None, None], x[None]][hyp].all()
+            # 4. v' (u u3)^-1 <= v u^-1
+            tau = le[mult[vp[:, None, None], inv[uu3]], mult[v[:, None, None], inv[st1.par]]]
+            assert tau[hyp.any(axis=0)].all()
+            checked += int(hyp.sum())
+    assert checked > 0
+
+
 # ---------------------------------------------------------------- components
 
 
