@@ -23,9 +23,10 @@ the reflection group is that of the underlying reduced system, and each root in
 the Weyl orbit of a marked simple acquires a double 2*alpha in `positive_roots`.
 Group operations never see the doubles; only weight functions may.
 
-Weighted length sums a W-invariant positive weight over the inverted
-non-divisible roots, d(w) = sum(c(alpha) for alpha in inversions(w)); with unit
-weights d = l on reduced systems, and d(uv) = d(u) + d(v) whenever lengths add.
+Weighted length sums a W-invariant positive weight over the non-divisible
+positive roots that w sends negative, d(w) = sum(c(alpha) : alpha > 0,
+w(alpha) < 0); with unit weights d = l on reduced systems, and
+d(uv) = d(u) + d(v) whenever lengths add.
 """
 
 from __future__ import annotations
@@ -287,12 +288,6 @@ class WeylElement:
         if self._word is None:
             self._word = greedy_word(self, range(self.system.rank))
         return self._word
-
-    @property
-    def inversions(self):
-        """Non-divisible positive roots sent negative, as coefficient vectors."""
-        roots = self.system.nondivisible_positive
-        return tuple(roots[r] for r, p in enumerate(self.perm) if p < 0)
 
     def image_of_simple(self, i):
         """Signed root index of w(alpha_i): +/- (index into nondivisible_positive + 1)."""

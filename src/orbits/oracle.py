@@ -108,8 +108,8 @@ def oracle_poset(rs, cap=DEFAULT_CAP, alternate=False):
     each codimension-one smaller stratum (_degenerations, or_rows).  Both
     read only the tables mult, inverse and length.  Each stratum's final
     diagonal block must be antisymmetric: otherwise GeneratorCycleError names
-    the first pair (i, j) of it in row-major order.  The rows are the columns
-    of leq, which is filled one column chunk at a time.
+    the first pair (i, j) of it in row-major order.  ClosurePoset.rows is the
+    packed transpose of the down-sets, taken a chunk of rows at a time.
     """
     tab = rs.tables(cap)
     labels = enumerate_orbits(rs, cap=cap)
@@ -142,12 +142,12 @@ def oracle_poset(rs, cap=DEFAULT_CAP, alternate=False):
                 cycle,
             )
 
-    leq = np.empty((n, n), dtype=bool)
-    step = max(1, 2 ** 20 // n)  # down rows unpacked at a time
+    rows = np.empty_like(down)  # the packed transpose: bit j of rows[i] is i <= j
+    step = 8 * max(1, 2 ** 17 // n)  # down rows unpacked at a time, whole bytes of rows
     for c in range(0, n, step):
         chunk = np.unpackbits(down[c:c + step], axis=1, count=n)
-        leq[:, c:c + step] = chunk.view(bool).T
-    return ClosurePoset(labels, leq)
+        rows[:, c >> 3:(c + step) >> 3] = np.packbits(chunk.T.copy(), axis=1)
+    return ClosurePoset(labels, rows)
 
 
 def _first_letters(tab, simple, alternate):
@@ -284,17 +284,19 @@ def compare_posets(p1, p2):
     """Ordered pairs present in exactly one of the two posets (empty iff equal).
 
     Returns a list of {"below", "above", "only_in"} records in row-major
-    order of the label indices; raises if the label universes differ.
+    order of the label indices, unpacking only the packed rows that differ;
+    raises if the label universes differ.
     """
     if p1.labels != p2.labels:
         raise ValueError("posets are over different label universes")
-    diff = p1.leq ^ p2.leq
-    np.fill_diagonal(diff, False)
+    row = np.dtype((np.void, p1.rows.shape[1]))  # a packed row as one value
     return [
         {
             "below": label_str(p1.labels[i]),
             "above": label_str(p1.labels[j]),
-            "only_in": "first" if p1.leq[i, j] else "second",
+            "only_in": "first" if p1.rows[i, j >> 3] & (0x80 >> (j & 7)) else "second",
         }
-        for i, j in np.argwhere(diff)
+        for i in np.flatnonzero(p1.rows.view(row) != p2.rows.view(row))
+        for j in np.flatnonzero(np.unpackbits(p1.rows[i] ^ p2.rows[i], count=len(p1.labels)))
+        if j != i
     ]

@@ -478,14 +478,20 @@ def or_rows(out, owner, rows, source):
 class ClosurePoset:
     """All labels of one group plus the closure partial order.
 
-    labels are in canonical order; leq is a boolean matrix (leq[i, j] says
-    labels[i] <= labels[j]); hasse holds the covering pairs (i, j), i covered
-    by j, i.e. the transitive reduction, computed on first use.
+    labels are in canonical order; rows is the order packed by np.packbits,
+    n x ceil(n/8) uint8 (bit j of rows[i]: labels[i] <= labels[j]), which leq
+    unpacks on each read; hasse holds the covering pairs (i, j), i covered by
+    j, i.e. the transitive reduction, computed on first use.
     """
 
-    def __init__(self, labels, leq):
+    def __init__(self, labels, rows):
         self.labels = tuple(labels)
-        self.leq = leq
+        self.rows = rows
+
+    @property
+    def leq(self):
+        """The order as a new boolean n x n matrix: leq[i, j] iff labels[i] <= labels[j]."""
+        return np.unpackbits(self.rows, axis=1, count=len(self.labels)).view(bool)
 
     @functools.cached_property
     def hasse(self):
@@ -496,38 +502,29 @@ class ClosurePoset:
         labels share one dimension.  So the covers are the relations between
         consecutive dimension levels.  The grading is checked, not assumed,
         one level at a time in decreasing dimension: a level's covers are
-        read off its leq columns at the level above, and its up-sets are
-        rebuilt as bit-packed rows, each label's own bit OR the rebuilt rows
-        of its covers (or_rows).  They must equal the level's packed leq
-        rows.  Only the packed rows of two adjacent levels are alive at a
-        time.  When some row differs, NotGradedError names the first
-        differing pair (i, j) in row-major order; when two minimal or two
-        maximal labels differ in dimension, it names those two.
+        the bits of its rows at the level above, and its up-sets are rebuilt
+        as packed rows, each label's own bit OR the rebuilt rows of its
+        covers (or_rows).  They must equal the level's rows.  Only the
+        rebuilt rows of two adjacent levels are alive at a time.  When some
+        row differs, NotGradedError names the first differing pair (i, j) in
+        row-major order; when two minimal or two maximal labels differ in
+        dimension, it names those two.
         """
         n = len(self.labels)
         dims = np.array([split_dimension(L) for L in self.labels], dtype=np.int64)
-        step = max(1, 2 ** 20 // n)  # leq rows read at a time
-        width = (n + 7) // 8
-        upper = np.empty(0, dtype=np.intp)  # the level above, and its rebuilt rows
-        got_up = np.empty((0, width), dtype=np.uint8)
-        covers, first = [], None  # first: the smallest (i, j) where got and leq differ
+        upper, got_up = np.empty(0, dtype=np.intp), self.rows[:0]  # level above, rebuilt rows
+        covers, first = [], None  # first: the smallest (i, j) where got and rows differ
         for d in range(int(dims.max()), int(dims.min()) - 1, -1):
             lower = np.flatnonzero(dims == d)
-            # the level's leq rows, a chunk at a time: packed, and their
-            # entries at the level above, which are the covers
-            want = np.empty((len(lower), width), dtype=np.uint8)
-            flat = [np.empty(0, dtype=np.intp)]
-            for r in range(0, len(lower), step):
-                rows = self.leq[lower[r:r + step]]
-                want[r:r + step] = np.packbits(rows, axis=1)
-                flat.append(np.flatnonzero(rows[:, upper]) + r * len(upper))
-            below, above = np.divmod(np.concatenate(flat), len(upper))
+            want = self.rows[lower]
+            byte, bit = upper >> 3, (0x80 >> (upper & 7)).astype(np.uint8)
+            below, above = np.divmod(np.flatnonzero(np.take(want, byte, 1) & bit), len(upper))
             covers.append((lower[below], upper[above]))
 
             got = np.zeros_like(want)
             got[np.arange(len(lower)), lower >> 3] = 0x80 >> (lower & 7)
             or_rows(got, below, got_up, above)
-            want ^= got  # now the bits where got and leq differ
+            want ^= got  # now the bits where got and rows differ
             bad = np.flatnonzero(want.any(axis=1))
             if len(bad) and (first is None or lower[bad[0]] < first[0]):
                 j = np.flatnonzero(np.unpackbits(want[bad[0]], count=n))[0]
@@ -535,7 +532,7 @@ class ClosurePoset:
             upper, got_up = lower, got
 
         if first is not None:
-            if self.leq[first]:
+            if np.unpackbits(self.rows[first[0]], count=n)[first[1]]:
                 what = "%s <= %s holds but the dimension-one covers do not generate it"
             else:
                 what = "the dimension-one covers generate %s <= %s but it does not hold"
@@ -661,7 +658,8 @@ def closure_poset(rs, cap=DEFAULT_CAP):
     the criterion is le[a2 v, a1 u] and le[t2 v u^-1, t1], so the block is the
     boolean product A @ T, an OR of ANDs over the K pairs, with A of shape
     (|W|^2, K) and T of shape (K, |W^I1| |W^I2|).  A's rows are taken one
-    sigma1 at a time, each product written straight into leq in label order.
+    sigma1 at a time: the |W| rows of sigma1 are written in label order into
+    one boolean scratch for all I2 and then packed into ClosurePoset.rows.
     The condition l(rho2 v) = l(rho2) - l(v) is left out by a lemma (tools from
     Bjorner-Brenti, GTM 231): if (v, u) meets both inequalities, an admissible
     (v', u u3) does.  (1) The letters of a reduced word of v that shorten rho2
@@ -675,7 +673,7 @@ def closure_poset(rs, cap=DEFAULT_CAP):
     tab = rs.tables(cap)
     labels = enumerate_orbits(rs, cap=cap)
     n = len(labels)
-    leq = np.zeros((n, n), dtype=bool)
+    rows = np.empty((n, (n + 7) // 8), dtype=np.uint8)
     mult, inv, le = tab.mult, tab.inverse, tab.le
 
     # per stratum: its first label, W^I, W_I and a[sigma, rho] = sigma*rho
@@ -687,6 +685,7 @@ def closure_poset(rs, cap=DEFAULT_CAP):
     # t1 and t2 are W^I1 and W^I2, the values of tau
     for I1, (o1, t1, par1, a1) in blocks.items():
         m1, p1 = a1.shape
+        pairs = []  # per I2 with I1 c I2: its columns and their shape, u, a2v, T
         for I2, (o2, t2, par2, a2) in blocks.items():
             if not set(I1) <= set(I2):
                 continue
@@ -695,13 +694,16 @@ def closure_poset(rs, cap=DEFAULT_CAP):
             v, u = v.ravel(), u.ravel()
             a2v = mult[a2[:, :, None], v]  # [sigma2, rho2, k]
             T = le[mult[mult[t2[:, None], v], inv[u]].T, t1[:, None, None]]  # [t1, k, t2]
-            for s1 in range(m1):
-                # A[rho1, sigma2, rho2, k], and the rows of sigma1 in leq as
+            pairs.append((slice(o2, o2 + m2 * m2 * p2), (m1, p1, m2, m2, p2), u, a2v, T))
+        scratch = np.zeros((m1 * p1, n), dtype=bool)  # every sigma1 writes the same columns
+        for s1 in range(m1):
+            for cols, shape, u, a2v, T in pairs:
+                # A[rho1, sigma2, rho2, k], and the rows of sigma1 as
                 # out[rho1, sigma2, tau1, rho2, tau2]
                 A = le[a2v, mult[a1[s1][:, None], u][:, None, None]]
-                first = o1 + s1 * m1 * p1
-                rows = leq[first:first + m1 * p1, o2:o2 + m2 * m2 * p2]
-                out = rows.reshape(m1, p1, m2, m2, p2).transpose(1, 2, 0, 4, 3)
+                out = scratch[:, cols].reshape(shape).transpose(1, 2, 0, 4, 3)
                 np.matmul(A[:, :, None], T, out=out)
+            first = o1 + s1 * m1 * p1
+            rows[first:first + m1 * p1] = np.packbits(scratch, axis=1)
 
-    return ClosurePoset(labels, leq)
+    return ClosurePoset(labels, rows)

@@ -1,10 +1,12 @@
 """Command-line behavior: output shapes, determinism, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from orbits import cli
@@ -33,6 +35,42 @@ def run_main(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr()
     return rc, out.out, out.err
+
+
+# ---------------------------------------------------------------- golden output
+
+# stdout sha256 and exit code of poset and verify commands: a change to how
+# the order is computed or stored must keep these bytes
+GOLDEN = {
+    "poset --type A2 --format json":
+        ("29f8b06242e69f0069c0188e6c4772d8d4d81cbb0e51d61be76dbcfb1eab67b0", 0),
+    "poset --type A2 --format dot":
+        ("07a1434d3895d5af40db49b71b8dba7855e1db2390e3476161870c4d5986f005", 0),
+    "poset --type B2 --format json":
+        ("32104b7d433b6e6125ab0b8caba66618d023b0f889c7c2624b206033aa582e84", 0),
+    "poset --type B2 --format dot":
+        ("18489719fcc396e43955636589d62f7253eb57df524fd87e27236657609adae3", 0),
+    "poset --type G2 --format json":
+        ("24a1d39be03b5926f46699fe3ffb60540dc47ceebf31488d994b2353373764fb", 0),
+    "poset --type G2 --format dot":
+        ("2197375dedc17e9f46ac6e60008c81390abb34dc5cbd1c149eb64eaee3e3dbea", 0),
+    "poset --type A3 --format json":
+        ("2d828b2d981644fac5776a6f91d9e03e602c99d4912111520a920c3c9517454d", 0),
+    "poset --type A3 --format dot":
+        ("8e897a79d1e5e1d291ffab5f3efb23c329e5a07acb30aff0af22895b0bf1e7db", 0),
+    "poset --type A1xA2 --format json":
+        ("9b7dad2dfa0eb8094d249872d51ff4941ab0482d77b2184b274181fdc8d6d030", 0),
+    "poset --type A1xA2 --format dot":
+        ("bff4ff4a7e688a12c5a0a0ea1a391006f7016af544cf6794f7f4ffeed94af67e", 0),
+    "verify --type A2 --suite poset --inject-fault":
+        ("b9109f5e5afdc0b8745d4991f53a08c36daa113b38bd43f51fe318304273ff1a", 1),
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_golden_output(capsys, command):
+    rc, out, _ = run_main(capsys, *command.split())
+    assert (hashlib.sha256(out.encode()).hexdigest(), rc) == GOLDEN[command]
 
 
 # ---------------------------------------------------------------- enumerate
@@ -293,7 +331,7 @@ def test_verify_reports_ungraded_formula_poset(capsys, monkeypatch):
             (i, j, k) for i, j in p.hasse for a, k in p.hasse if a == j
         )
         leq[i, k] = False  # no longer transitive
-        return ClosurePoset(p.labels, leq)
+        return ClosurePoset(p.labels, np.packbits(leq, axis=1))
 
     monkeypatch.setattr(cli, "closure_poset", ungraded)
     rc, out, _ = run_main(capsys, "verify", "--type", "A1", "--suite", "poset")

@@ -269,7 +269,6 @@ def test_inverse_and_length():
         for w in enumerate_group(rs):
             assert w * w.inverse() == rs.identity
             assert w.inverse().length == w.length
-            assert len(w.inversions) == w.length
 
 
 def test_longest_element():

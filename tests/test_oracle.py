@@ -267,15 +267,29 @@ def test_oracle_poset_equals_the_transitive_closure(name, alternate):
 
 
 def test_oracle_poset_peak_memory():
-    # packed down rows and one stratum block beside the n^2 bytes of leq: no
-    # dense n x n generator matrix
+    # beside the packed down-sets and their packed transpose (n ceil(n/8)
+    # bytes each), one stratum block and one chunk: no n x n array
     tracemalloc.start()
     try:
         p = oracle_poset(rs_of("B3"))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - len(p.labels) ** 2 < 16 * 2 ** 20
+    assert peak - 2 * p.rows.nbytes < 16 * 2 ** 20
+
+
+def test_compare_posets_peak_memory():
+    # whole packed rows are compared in place, and only differing rows are
+    # unpacked: under 1 MB on B3, where one packed relation is 6 MB
+    rs = rs_of("B3")
+    p, q = closure_poset(rs), oracle_poset(rs)
+    tracemalloc.start()
+    try:
+        assert compare_posets(p, q) == []
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_rank_zero_oracle():
@@ -421,7 +435,7 @@ def test_compare_posets_reports_removed_edge():
     leq = p.leq.copy()
     i, j = p.hasse[0]
     leq[i, j] = False
-    q = ClosurePoset(p.labels, leq)
+    q = ClosurePoset(p.labels, np.packbits(leq, axis=1))
     diff = compare_posets(p, q)
     assert diff == [
         {
@@ -439,17 +453,18 @@ def test_compare_posets_ignores_the_diagonal():
     p = closure_poset(rs_of("A1"))
     leq = p.leq.copy()
     np.fill_diagonal(leq, False)
-    assert compare_posets(p, ClosurePoset(p.labels, leq)) == []
+    assert compare_posets(p, ClosurePoset(p.labels, np.packbits(leq, axis=1))) == []
 
 
 def test_compare_posets_row_major_order():
     p = closure_poset(rs_of("A2"))
-    leq = p.leq.copy()
+    want = p.leq
+    leq = want.copy()
     flipped = [(40, 3), (2, 70), (2, 5), (40, 1), (77, 76)]
     for i, j in flipped:
         leq[i, j] = not leq[i, j]
-    diff = compare_posets(p, ClosurePoset(p.labels, leq))
+    diff = compare_posets(p, ClosurePoset(p.labels, np.packbits(leq, axis=1)))
     names = [label_str(L) for L in p.labels]
     assert [(names.index(d["below"]), names.index(d["above"])) for d in diff] == sorted(flipped)
     for d, (i, j) in zip(diff, sorted(flipped)):
-        assert d["only_in"] == ("first" if p.leq[i, j] else "second")
+        assert d["only_in"] == ("first" if want[i, j] else "second")

@@ -555,10 +555,10 @@ def test_stratum_delta_recovers_bruhat():
 def test_closure_dimension_monotonicity():
     rs = rs_of("B2")
     labels = enumerate_orbits(rs)
-    p = closure_poset(rs)
+    leq = closure_poset(rs).leq
     for i, O1 in enumerate(labels):
         for j, O2 in enumerate(labels):
-            if p.leq[i, j] and O1 != O2:
+            if leq[i, j] and O1 != O2:
                 assert split_dimension(O1) < split_dimension(O2)
 
 
@@ -718,10 +718,10 @@ def test_closure_poset_axioms_rank2():
 def test_closure_poset_matches_pairwise_closure_leq():
     rs = rs_of("A2")
     p = closure_poset(rs)
-    labels = p.labels
+    labels, leq = p.labels, p.leq
     for i in range(0, len(labels), 7):
         for j in range(0, len(labels), 5):
-            assert bool(p.leq[i, j]) == closure_leq(labels[i], labels[j])
+            assert bool(leq[i, j]) == closure_leq(labels[i], labels[j])
 
 
 @pytest.mark.parametrize("name", ["B3", "C3", "A1xA2", "A1xB2"])
@@ -729,7 +729,7 @@ def test_closure_poset_matches_closure_leq_on_every_stratum_pair(name):
     # groups where |W^I| != |W_I|; about 2,000 seeded pairs, drawn per stratum
     # pair I1 c I2 half from the whole block and half from its relations
     p = closure_poset(rs_of(name))
-    labels = p.labels
+    labels, leq = p.labels, p.leq
     rng = random.Random(name)
     by_stratum = {}
     for i, L in enumerate(labels):
@@ -742,11 +742,11 @@ def test_closure_poset_matches_closure_leq_on_every_stratum_pair(name):
     ]
     per = 1000 // len(blocks)
     for rows, cols in blocks:
-        hits = np.argwhere(p.leq[np.ix_(rows, cols)])
+        hits = np.argwhere(leq[np.ix_(rows, cols)])
         drawn = [(rng.choice(rows), rng.choice(cols)) for _ in range(per)]
         drawn += [(rows[a], cols[b]) for a, b in rng.sample(list(hits), min(per, len(hits)))]
         for i, j in drawn:
-            assert bool(p.leq[i, j]) == closure_leq(labels[i], labels[j]), (
+            assert bool(leq[i, j]) == closure_leq(labels[i], labels[j]), (
                 label_str(labels[i]),
                 label_str(labels[j]),
             )
@@ -780,14 +780,15 @@ def test_label_layout_is_the_label_order(name):
 
 
 def test_closure_poset_works_in_row_chunks():
-    # beside the n^2 bytes of leq, the criterion needs under 4 MB on B3
+    # beside the n ceil(n/8) bytes of the packed rows, the criterion needs
+    # under 4 MB on B3: no n x n array
     tracemalloc.start()
     try:
         p = closure_poset(rs_of("B3"))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - len(p.labels) ** 2 < 4 * 2 ** 20
+    assert peak - p.rows.nbytes < 4 * 2 ** 20
 
 
 def test_hasse_is_transitive_reduction():
@@ -812,7 +813,7 @@ def test_hasse_rejects_ungraded_order():
     leq[k, :] = leq[:, k] = False
     leq[k, k] = True
     with pytest.raises(NotGradedError) as err:
-        ClosurePoset(p.labels, leq).hasse
+        ClosurePoset(p.labels, np.packbits(leq, axis=1)).hasse
     assert p.labels[k] in err.value.pair
     assert label_str(p.labels[k]) in str(err.value)
 
@@ -824,7 +825,7 @@ def test_hasse_rejects_missing_transitive_relation():
     leq = p.leq.copy()
     leq[i, k] = False
     with pytest.raises(NotGradedError) as err:
-        ClosurePoset(p.labels, leq).hasse
+        ClosurePoset(p.labels, np.packbits(leq, axis=1)).hasse
     assert err.value.pair == (p.labels[i], p.labels[k])
     assert "generate" in str(err.value)
 
@@ -833,14 +834,14 @@ def hasse_reference(p):
     """ClosurePoset.hasse by the whole-matrix check: the covers of all level
     pairs, then every label's up-set rebuilt one row at a time into one packed
     n x n/8 array and compared with all of leq at once."""
-    n = len(p.labels)
+    n, leq = len(p.labels), p.leq
     dims = np.array([split_dimension(L) for L in p.labels])
     levels = {d: np.flatnonzero(dims == d) for d in np.unique(dims)}
     edges = [np.empty((0, 2), dtype=np.int64)]
     for d, lower in levels.items():
         if d + 1 in levels:
             upper = levels[d + 1]
-            below, above = np.nonzero(p.leq[np.ix_(lower, upper)])
+            below, above = np.nonzero(leq[np.ix_(lower, upper)])
             edges.append(np.stack([lower[below], upper[above]], axis=1))
     edges = np.concatenate(edges)
     edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
@@ -854,7 +855,7 @@ def hasse_reference(p):
         )
 
     starts = np.searchsorted(edges[:, 0], np.arange(n + 1))
-    want = np.packbits(p.leq, axis=1)
+    want = np.packbits(leq, axis=1)
     got = np.zeros_like(want)
     for i in np.argsort(-dims, kind="stable"):
         js = edges[starts[i]:starts[i + 1], 1]
@@ -864,7 +865,7 @@ def hasse_reference(p):
     if not np.array_equal(got, want):
         i = int(np.flatnonzero((got != want).any(axis=1))[0])
         j = int(np.flatnonzero(np.unpackbits(got[i] ^ want[i], count=n))[0])
-        if p.leq[i, j]:
+        if leq[i, j]:
             what = "%s <= %s holds but the dimension-one covers do not generate it"
         else:
             what = "the dimension-one covers generate %s <= %s but it does not hold"
@@ -903,7 +904,7 @@ def test_hasse_matches_the_whole_matrix_reference(data):
     leq = p.leq.copy()
     for i, j in data.draw(st.lists(entry, min_size=1, max_size=5)):
         leq[i, j] = not leq[i, j]
-    faulty = ClosurePoset(p.labels, leq)
+    faulty = ClosurePoset(p.labels, np.packbits(leq, axis=1))
     want = outcome_or_error(hasse_reference, faulty)
     got = outcome_or_error(lambda q: q.hasse, faulty)
     assert got == want
@@ -943,9 +944,9 @@ def test_poset_is_graded_by_split_dimension():
 def test_a1_poset_extremes():
     rs = rs_of("A1")
     p = closure_poset(rs)
-    n = len(p.labels)
-    tops = [i for i in range(n) if all(p.leq[j, i] for j in range(n))]
-    bots = [i for i in range(n) if all(p.leq[i, j] for j in range(n))]
+    n, leq = len(p.labels), p.leq
+    tops = [i for i in range(n) if all(leq[j, i] for j in range(n))]
+    bots = [i for i in range(n) if all(leq[i, j] for j in range(n))]
     assert [label_str(p.labels[i]) for i in tops] == ["I=[1];sigma=e;tau=e;rho=e"]
     assert [label_str(p.labels[i]) for i in bots] == ["I=[];sigma=1;tau=1;rho=e"]
 
