@@ -54,13 +54,7 @@ from .orbit_model import (
     closure_poset,
     strata_csv,
 )
-from .oracle import (
-    minimal_orbit,
-    subword_closure_same_stratum,
-    GeneratorCycleError,
-    oracle_poset,
-    compare_posets,
-)
+from .oracle import GeneratorCycleError, oracle_poset, compare_posets
 from .matrix_model import (
     enumerate_points,
     orbit_partition,

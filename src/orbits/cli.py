@@ -170,7 +170,7 @@ def _verify_poset(rs, cap, inject_fault):
     """Formula poset against the move oracle, plus the grading check that the
     Hasse diagram relies on.  A failed check is reported, not raised."""
     formula = closure_poset(rs, cap=cap)
-    report = {"labels": len(formula.labels), "diff": []}
+    report = {"labels": len(formula.rows), "diff": []}
     try:
         formula.hasse
     except NotGradedError as e:

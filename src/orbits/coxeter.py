@@ -335,9 +335,6 @@ class WeylElement:
     def shortlex_key(self):
         return (self.length, self.word)
 
-    def __lt__(self, other):
-        return self.shortlex_key() < other.shortlex_key()
-
     def __repr__(self):
         return "<w %s>" % word_str(self)
 

@@ -22,10 +22,11 @@ components at the codimension-one strata; no transitive closure is taken.
 `oracle_poset` does all of this on the group tables `mult`, `inverse` and
 `length`, in the label layout of `label_layout`: one move table per simple
 root and side, one pass per stratum over the trie of move sequences, and the
-degenerations per pair of strata, ORed into bit-packed down-sets.
-`rank1_act`, `subword_closure_same_stratum` and `intersection_components`
-are the scalar references it is tested against.  Nothing here reads the
-Bruhat table `le` or calls the closed-form comparison criterion; agreement of
+degenerations per pair of strata, ORed into bit-packed down-sets.  Its tests
+check it against scalar references: `rank1_act` for the move tables,
+`intersection_components` for the degenerations, and a label-by-label
+subword closure for the same-stratum order.  Nothing here reads the Bruhat
+table `le` or calls the closed-form comparison criterion; agreement of
 `oracle_poset` with `closure_poset` is checked, not assumed.
 """
 
@@ -33,60 +34,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coxeter import DEFAULT_CAP, greedy_word, longest_element
-from .orbit_model import (
-    LEFT,
-    RIGHT,
-    ClosurePoset,
-    canonicalize,
-    enumerate_orbits,
-    label_layout,
-    label_str,
-    or_rows,
-    rank1_act,
-)
+from .coxeter import DEFAULT_CAP, longest_element
+from .orbit_model import ClosurePoset, enumerate_orbits, label_layout, label_str, or_rows
 
-__all__ = [
-    "minimal_orbit",
-    "subword_closure_same_stratum",
-    "GeneratorCycleError",
-    "oracle_poset",
-    "compare_posets",
-]
-
-
-def minimal_orbit(rs, J):
-    """The closed P x P^- orbit of stratum J: canonicalize(J, w0, w0*w0J)."""
-    w0 = longest_element(rs)
-    w0J = longest_element(rs, J)
-    return canonicalize(rs, J, w0, w0 * w0J)
-
-
-def _moves_for(O2, alternate=False):
-    """The (side, alpha) move sequence carrying minimal_orbit(J) onto O2: the
-    lex-least reduced words, or with `alternate` the lex-largest."""
-    rs = O2.system
-    w0 = longest_element(rs)
-    w0J = longest_element(rs, O2.I)
-    letters = range(rs.rank - 1, -1, -1) if alternate else range(rs.rank)
-    lw = greedy_word(O2.sigma * O2.rho * w0, letters)
-    rw = greedy_word(O2.tau * w0J * w0, letters)
-    return tuple(
-        [(LEFT, a) for a in reversed(lw)] + [(RIGHT, a) for a in reversed(rw)]
-    )
-
-
-def subword_closure_same_stratum(O2, alternate=False):
-    """All labels reachable from minimal_orbit(O2.I) by subsequences of O2's moves.
-
-    This is the within-stratum lower set of O2 in the closure order (checked
-    against the closed-form criterion, not assumed).  `alternate` switches to
-    a second pair of reduced words for the expression-independence tests.
-    """
-    reach = {minimal_orbit(O2.system, O2.I)}
-    for side, alpha in _moves_for(O2, alternate):
-        reach |= {rank1_act(O, side, alpha) for O in reach}
-    return reach
+__all__ = ["GeneratorCycleError", "oracle_poset", "compare_posets"]
 
 
 class GeneratorCycleError(ValueError):
@@ -102,20 +53,21 @@ def oracle_poset(rs, cap=DEFAULT_CAP, alternate=False):
     """Closure poset rebuilt from moves and degenerations, stratum by stratum.
 
     Each label's down-set is kept as a bit-packed row, filled in the order of
-    label_layout, smaller strata first: (a) within its stratum J, every O1
-    in subword_closure_same_stratum(O2), computed for all O2 at once by
-    _down_sets; (b) OR the finished rows of its intersection components at
-    each codimension-one smaller stratum (_degenerations, or_rows).  Both
-    read only the tables mult, inverse and length.  Each stratum's final
-    diagonal block must be antisymmetric: otherwise GeneratorCycleError names
-    the first pair (i, j) of it in row-major order.  ClosurePoset.rows is the
-    packed transpose of the down-sets, taken a chunk of rows at a time.
+    label_layout, smaller strata first: (a) within its stratum J, every label
+    that subsequences of its moves reach from the stratum's minimal orbit,
+    computed for all labels at once by _down_sets; (b) OR the finished rows of
+    its intersection components at each codimension-one smaller stratum
+    (_degenerations, or_rows).  Both read only the tables mult, inverse and
+    length.  Each stratum's final diagonal block must be antisymmetric:
+    otherwise GeneratorCycleError names the first pair (i, j) of it in
+    row-major order, building that stratum's labels to do so.
+    ClosurePoset.rows is the packed transpose of the down-sets, taken a chunk
+    of rows at a time; the poset builds its labels on first read.
     """
     tab = rs.tables(cap)
-    labels = enumerate_orbits(rs, cap=cap)
-    n = len(labels)
-    down = np.zeros((n, (n + 7) // 8), dtype=np.uint8)  # bit j of down[i]: j <= i
     layout = label_layout(tab)
+    n = sum(st.size for st in layout.values())
+    down = np.zeros((n, (n + 7) // 8), dtype=np.uint8)  # bit j of down[i]: j <= i
     simple = np.array(
         [tab.idx(rs.simple_reflection(a)) for a in range(rs.rank)], dtype=np.intp
     )
@@ -135,7 +87,8 @@ def oracle_poset(rs, cap=DEFAULT_CAP, alternate=False):
         both = final & final.T
         np.fill_diagonal(both, 0)
         if both.any():
-            cycle = [labels[st.offset + k] for k in np.argwhere(both)[0]]
+            stratum = enumerate_orbits(rs, J, cap)
+            cycle = [stratum[k] for k in np.argwhere(both)[0]]
             raise GeneratorCycleError(
                 "oracle generator edges form a cycle: %s"
                 % " <= ".join(label_str(L) for L in cycle + cycle[:1]),
@@ -147,7 +100,7 @@ def oracle_poset(rs, cap=DEFAULT_CAP, alternate=False):
     for c in range(0, n, step):
         chunk = np.unpackbits(down[c:c + step], axis=1, count=n)
         rows[:, c >> 3:(c + step) >> 3] = np.packbits(chunk.T.copy(), axis=1)
-    return ClosurePoset(labels, rows)
+    return ClosurePoset(rs, rows)
 
 
 def _first_letters(tab, simple, alternate):
@@ -284,10 +237,11 @@ def compare_posets(p1, p2):
     """Ordered pairs present in exactly one of the two posets (empty iff equal).
 
     Returns a list of {"below", "above", "only_in"} records in row-major
-    order of the label indices, unpacking only the packed rows that differ;
-    raises if the label universes differ.
+    order of the label indices, unpacking only the packed rows that differ
+    and reading the labels only to name their pairs; raises if the posets
+    are over different root systems, and so different label universes.
     """
-    if p1.labels != p2.labels:
+    if p1.system is not p2.system:
         raise ValueError("posets are over different label universes")
     row = np.dtype((np.void, p1.rows.shape[1]))  # a packed row as one value
     return [
@@ -297,6 +251,6 @@ def compare_posets(p1, p2):
             "only_in": "first" if p1.rows[i, j >> 3] & (0x80 >> (j & 7)) else "second",
         }
         for i in np.flatnonzero(p1.rows.view(row) != p2.rows.view(row))
-        for j in np.flatnonzero(np.unpackbits(p1.rows[i] ^ p2.rows[i], count=len(p1.labels)))
+        for j in np.flatnonzero(np.unpackbits(p1.rows[i] ^ p2.rows[i], count=len(p1.rows)))
         if j != i
     ]

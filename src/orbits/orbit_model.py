@@ -121,15 +121,6 @@ class OrbitLabel:
         self.rho = rho
         self._hash = None
 
-    def key(self):
-        """Deterministic sort key: stratum by (size, indices), then ShortLex."""
-        return (
-            (len(self.I), self.I),
-            self.sigma.shortlex_key(),
-            self.tau.shortlex_key(),
-            self.rho.shortlex_key(),
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, OrbitLabel)
@@ -146,9 +137,6 @@ class OrbitLabel:
                 (self.I, self.sigma.perm, self.tau.perm, self.rho.perm)
             )
         return self._hash
-
-    def __lt__(self, other):
-        return self.key() < other.key()
 
     def __repr__(self):
         return "<orbit %s>" % label_str(self)
@@ -476,22 +464,35 @@ def or_rows(out, owner, rows, source):
 
 
 class ClosurePoset:
-    """All labels of one group plus the closure partial order.
+    """The closure partial order on all labels of one root system.
 
-    labels are in canonical order; rows is the order packed by np.packbits,
-    n x ceil(n/8) uint8 (bit j of rows[i]: labels[i] <= labels[j]), which leq
-    unpacks on each read; hasse holds the covering pairs (i, j), i covered by
-    j, i.e. the transitive reduction, computed on first use.
+    rows is the order packed by np.packbits, n x ceil(n/8) uint8 (bit j of
+    rows[i]: labels[i] <= labels[j]), which leq unpacks on each read.  labels
+    (enumerate_orbits, in canonical order), dims (their split_dimension) and
+    hasse (the covering pairs (i, j), i covered by j, i.e. the transitive
+    reduction) are built on first read.
     """
 
-    def __init__(self, labels, rows):
-        self.labels = tuple(labels)
+    def __init__(self, system, rows):
+        self.system = system
         self.rows = rows
+
+    @functools.cached_property
+    def labels(self):
+        """The labels as a tuple.  The default cap suffices: the engine that
+        built rows checked the caller's cap on the group tables, and
+        enumerate_group returns its cached elements."""
+        return tuple(enumerate_orbits(self.system))
+
+    @functools.cached_property
+    def dims(self):
+        """split_dimension of each label, as an int64 array."""
+        return np.array([split_dimension(L) for L in self.labels], dtype=np.int64)
 
     @property
     def leq(self):
         """The order as a new boolean n x n matrix: leq[i, j] iff labels[i] <= labels[j]."""
-        return np.unpackbits(self.rows, axis=1, count=len(self.labels)).view(bool)
+        return np.unpackbits(self.rows, axis=1, count=len(self.rows)).view(bool)
 
     @functools.cached_property
     def hasse(self):
@@ -510,8 +511,7 @@ class ClosurePoset:
         row-major order; when two minimal or two maximal labels differ in
         dimension, it names those two.
         """
-        n = len(self.labels)
-        dims = np.array([split_dimension(L) for L in self.labels], dtype=np.int64)
+        n, dims = len(self.rows), self.dims
         upper, got_up = np.empty(0, dtype=np.intp), self.rows[:0]  # level above, rebuilt rows
         covers, first = [], None  # first: the smallest (i, j) where got and rows differ
         for d in range(int(dims.max()), int(dims.min()) - 1, -1):
@@ -575,12 +575,10 @@ class ClosurePoset:
         lines = ["digraph closure {", "  rankdir=BT;", '  node [shape=box];']
         for i, L in enumerate(self.labels):
             lines.append('  n%d [label="%s"];' % (i, label_str(L)))
-        dims = {}
-        for i, L in enumerate(self.labels):
-            dims.setdefault(split_dimension(L), []).append(i)
-        for d in sorted(dims):
+        for d in np.unique(self.dims):
             lines.append(
-                "  { rank=same; %s }" % " ".join("n%d;" % i for i in dims[d])
+                "  { rank=same; %s }"
+                % " ".join("n%d;" % i for i in np.flatnonzero(self.dims == d))
             )
         for i, j in self.hasse:
             lines.append("  n%d -> n%d;" % (i, j))
@@ -671,15 +669,15 @@ def closure_poset(rs, cap=DEFAULT_CAP):
     t2 v' (u u3)^-1 <= t2 v u^-1 <= t1 by the subword property.
     """
     tab = rs.tables(cap)
-    labels = enumerate_orbits(rs, cap=cap)
-    n = len(labels)
+    layout = label_layout(tab)
+    n = sum(st.size for st in layout.values())
     rows = np.empty((n, (n + 7) // 8), dtype=np.uint8)
     mult, inv, le = tab.mult, tab.inverse, tab.le
 
     # per stratum: its first label, W^I, W_I and a[sigma, rho] = sigma*rho
     blocks = {
         I: (st.offset, st.reps, st.par, mult[np.ix_(st.reps, st.par)])
-        for I, st in label_layout(tab).items()
+        for I, st in layout.items()
     }
 
     # t1 and t2 are W^I1 and W^I2, the values of tau
@@ -706,4 +704,4 @@ def closure_poset(rs, cap=DEFAULT_CAP):
             first = o1 + s1 * m1 * p1
             rows[first:first + m1 * p1] = np.packbits(scratch, axis=1)
 
-    return ClosurePoset(labels, rows)
+    return ClosurePoset(rs, rows)

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from orbits import cli
+from orbits import cli, orbit_model, oracle
 from orbits.cli import main
 from orbits.coxeter import build_root_system, cartan_matrix
 from orbits.orbit_model import (
@@ -19,7 +19,7 @@ from orbits.orbit_model import (
     label_str,
     parse_label,
 )
-from orbits.oracle import GeneratorCycleError
+from orbits.oracle import GeneratorCycleError, oracle_poset
 
 A1_LINES = [
     "I=[];sigma=e;tau=e;rho=e",
@@ -62,8 +62,16 @@ GOLDEN = {
         ("9b7dad2dfa0eb8094d249872d51ff4941ab0482d77b2184b274181fdc8d6d030", 0),
     "poset --type A1xA2 --format dot":
         ("bff4ff4a7e688a12c5a0a0ea1a391006f7016af544cf6794f7f4ffeed94af67e", 0),
+    "poset --type A2 --engine oracle --format json":
+        ("29f8b06242e69f0069c0188e6c4772d8d4d81cbb0e51d61be76dbcfb1eab67b0", 0),
+    "poset --type A2 --engine oracle --format dot":
+        ("07a1434d3895d5af40db49b71b8dba7855e1db2390e3476161870c4d5986f005", 0),
+    "poset --type B2 --engine oracle --format json":
+        ("32104b7d433b6e6125ab0b8caba66618d023b0f889c7c2624b206033aa582e84", 0),
     "verify --type A2 --suite poset --inject-fault":
         ("b9109f5e5afdc0b8745d4991f53a08c36daa113b38bd43f51fe318304273ff1a", 1),
+    "verify --type A3 --suite poset":
+        ("5a6cdfaf29f6599ee63283d5400ec7f25aee078871e83a4abf1422d00a83dcf8", 0),
 }
 
 
@@ -299,6 +307,40 @@ def test_verify_poset_only(capsys):
     assert out.splitlines()[0] == "PASS"
 
 
+def count_label_builds(monkeypatch):
+    """Wrap enumerate_orbits where the package looks it up; the returned list
+    gets one entry per call that builds all the labels (J = None)."""
+    calls = []
+    build = orbit_model.enumerate_orbits
+
+    def counted(rs, J=None, *args, **kwargs):
+        if J is None:
+            calls.append(rs)
+        return build(rs, J, *args, **kwargs)
+
+    for module in (orbit_model, oracle):
+        monkeypatch.setattr(module, "enumerate_orbits", counted)
+    return calls
+
+
+def test_verify_builds_the_labels_once(capsys, monkeypatch):
+    # only the formula poset's grading check reads them
+    calls = count_label_builds(monkeypatch)
+    rc, out, _ = run_main(capsys, "verify", "--type", "A2", "--suite", "poset")
+    assert (rc, out.splitlines()[0]) == (0, "PASS")
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("build", [closure_poset, oracle_poset], ids=lambda f: f.__name__)
+def test_engines_build_the_labels_on_first_read(monkeypatch, build):
+    calls = count_label_builds(monkeypatch)
+    p = build(build_root_system(cartan_matrix("A2")))
+    assert calls == []
+    labels = p.labels
+    assert len(calls) == 1 and p.labels is labels
+    assert labels == tuple(enumerate_orbits(p.system))
+
+
 def test_verify_inject_fault_fails(capsys):
     rc, out, _ = run_main(
         capsys, "verify", "--type", "A1", "--suite", "poset", "--inject-fault"
@@ -331,7 +373,7 @@ def test_verify_reports_ungraded_formula_poset(capsys, monkeypatch):
             (i, j, k) for i, j in p.hasse for a, k in p.hasse if a == j
         )
         leq[i, k] = False  # no longer transitive
-        return ClosurePoset(p.labels, np.packbits(leq, axis=1))
+        return ClosurePoset(p.system, np.packbits(leq, axis=1))
 
     monkeypatch.setattr(cli, "closure_poset", ungraded)
     rc, out, _ = run_main(capsys, "verify", "--type", "A1", "--suite", "poset")

@@ -19,6 +19,7 @@ from orbits.orbit_model import (
     RIGHT,
     ClosurePoset,
     OrbitLabel,
+    canonicalize,
     closure_poset,
     codim,
     enumerate_orbits,
@@ -29,13 +30,7 @@ from orbits.orbit_model import (
     closure_leq,
 )
 from orbits import cli, oracle
-from orbits.oracle import (
-    GeneratorCycleError,
-    compare_posets,
-    minimal_orbit,
-    oracle_poset,
-    subword_closure_same_stratum,
-)
+from orbits.oracle import GeneratorCycleError, compare_posets, oracle_poset
 
 
 def rs_of(name):
@@ -46,6 +41,45 @@ def all_subsets(rank):
     return [
         tuple(i for i in range(rank) if mask >> i & 1) for mask in range(1 << rank)
     ]
+
+
+# ---------------------------------------------------------------- scalar references
+# The same-stratum order one label at a time, on OrbitLabel and rank1_act;
+# oracle._down_sets computes the same sets for a whole stratum on the tables.
+
+
+def minimal_orbit(rs, J):
+    """The closed P x P^- orbit of stratum J: canonicalize(J, w0, w0*w0J)."""
+    w0 = longest_element(rs)
+    w0J = longest_element(rs, J)
+    return canonicalize(rs, J, w0, w0 * w0J)
+
+
+def moves_for(O2, alternate=False):
+    """The (side, alpha) move sequence carrying minimal_orbit(J) onto O2: the
+    lex-least reduced words, or with `alternate` the lex-largest."""
+    rs = O2.system
+    w0 = longest_element(rs)
+    w0J = longest_element(rs, O2.I)
+    letters = range(rs.rank - 1, -1, -1) if alternate else range(rs.rank)
+    lw = greedy_word(O2.sigma * O2.rho * w0, letters)
+    rw = greedy_word(O2.tau * w0J * w0, letters)
+    return tuple(
+        [(LEFT, a) for a in reversed(lw)] + [(RIGHT, a) for a in reversed(rw)]
+    )
+
+
+def subword_closure_same_stratum(O2, alternate=False):
+    """All labels reachable from minimal_orbit(O2.I) by subsequences of O2's moves.
+
+    This is the within-stratum lower set of O2 in the closure order (checked
+    against the closed-form criterion, not assumed).  `alternate` switches to
+    a second pair of reduced words for the expression-independence tests.
+    """
+    reach = {minimal_orbit(O2.system, O2.I)}
+    for side, alpha in moves_for(O2, alternate):
+        reach |= {rank1_act(O, side, alpha) for O in reach}
+    return reach
 
 
 # ---------------------------------------------------------------- minimal orbit
@@ -100,20 +134,20 @@ def test_move_trace_replays_to_target():
         rs = rs_of(name)
         for O in enumerate_orbits(rs):
             for alternate in (False, True):
-                moves = oracle._moves_for(O, alternate=alternate)
+                moves = moves_for(O, alternate=alternate)
                 assert replay(minimal_orbit(rs, O.I), moves) == O
 
 
 def test_move_trace_minimal_orbit_is_empty():
     rs = rs_of("B2")
     for J in all_subsets(rs.rank):
-        assert oracle._moves_for(minimal_orbit(rs, J)) == ()
+        assert moves_for(minimal_orbit(rs, J)) == ()
 
 
 def test_replay_moves_applies_rank1_steps():
     rs = rs_of("A2")
     O = enumerate_orbits(rs, (0, 1))[0]  # the dense orbit: the longest move sequence
-    moves = oracle._moves_for(O)
+    moves = moves_for(O)
     assert moves
     assert replay(minimal_orbit(rs, O.I), moves) == O
 
@@ -435,7 +469,7 @@ def test_compare_posets_reports_removed_edge():
     leq = p.leq.copy()
     i, j = p.hasse[0]
     leq[i, j] = False
-    q = ClosurePoset(p.labels, np.packbits(leq, axis=1))
+    q = ClosurePoset(p.system, np.packbits(leq, axis=1))
     diff = compare_posets(p, q)
     assert diff == [
         {
@@ -453,7 +487,7 @@ def test_compare_posets_ignores_the_diagonal():
     p = closure_poset(rs_of("A1"))
     leq = p.leq.copy()
     np.fill_diagonal(leq, False)
-    assert compare_posets(p, ClosurePoset(p.labels, np.packbits(leq, axis=1))) == []
+    assert compare_posets(p, ClosurePoset(p.system, np.packbits(leq, axis=1))) == []
 
 
 def test_compare_posets_row_major_order():
@@ -463,7 +497,7 @@ def test_compare_posets_row_major_order():
     flipped = [(40, 3), (2, 70), (2, 5), (40, 1), (77, 76)]
     for i, j in flipped:
         leq[i, j] = not leq[i, j]
-    diff = compare_posets(p, ClosurePoset(p.labels, np.packbits(leq, axis=1)))
+    diff = compare_posets(p, ClosurePoset(p.system, np.packbits(leq, axis=1)))
     names = [label_str(L) for L in p.labels]
     assert [(names.index(d["below"]), names.index(d["above"])) for d in diff] == sorted(flipped)
     for d, (i, j) in zip(diff, sorted(flipped)):

@@ -111,7 +111,11 @@ def test_rank_zero_single_label():
 def test_enumeration_order_is_canonical():
     rs = rs_of("B2")
     labels = enumerate_orbits(rs)
-    assert labels == sorted(labels, key=lambda O: O.key())
+
+    def key(O):  # stratum by (size, indices), then ShortLex on sigma, tau, rho
+        return ((len(O.I), O.I), *(w.shortlex_key() for w in (O.sigma, O.tau, O.rho)))
+
+    assert labels == sorted(labels, key=key)
     # strata appear by (size, indices)
     seen = [O.I for O in labels]
     order = sorted(set(seen), key=lambda I: (len(I), I))
@@ -813,7 +817,7 @@ def test_hasse_rejects_ungraded_order():
     leq[k, :] = leq[:, k] = False
     leq[k, k] = True
     with pytest.raises(NotGradedError) as err:
-        ClosurePoset(p.labels, np.packbits(leq, axis=1)).hasse
+        ClosurePoset(p.system, np.packbits(leq, axis=1)).hasse
     assert p.labels[k] in err.value.pair
     assert label_str(p.labels[k]) in str(err.value)
 
@@ -825,7 +829,7 @@ def test_hasse_rejects_missing_transitive_relation():
     leq = p.leq.copy()
     leq[i, k] = False
     with pytest.raises(NotGradedError) as err:
-        ClosurePoset(p.labels, np.packbits(leq, axis=1)).hasse
+        ClosurePoset(p.system, np.packbits(leq, axis=1)).hasse
     assert err.value.pair == (p.labels[i], p.labels[k])
     assert "generate" in str(err.value)
 
@@ -904,7 +908,7 @@ def test_hasse_matches_the_whole_matrix_reference(data):
     leq = p.leq.copy()
     for i, j in data.draw(st.lists(entry, min_size=1, max_size=5)):
         leq[i, j] = not leq[i, j]
-    faulty = ClosurePoset(p.labels, np.packbits(leq, axis=1))
+    faulty = ClosurePoset(p.system, np.packbits(leq, axis=1))
     want = outcome_or_error(hasse_reference, faulty)
     got = outcome_or_error(lambda q: q.hasse, faulty)
     assert got == want
