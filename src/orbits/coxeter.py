@@ -14,9 +14,11 @@ A group element is stored as the signed permutation it induces on the
 non-divisible positive roots (w(alpha_r) = +/- alpha_{r'}).  This determines the
 element, composes in O(#roots), and reads off the length as the number of sign
 changes:  l(w) = #{alpha > 0 : w(alpha) < 0}.  The canonical reduced word is the
-lexicographically least one, obtained greedily (`greedy_word`): its first letter
-is the least i with w^{-1}(alpha_i) < 0, and so on.  ShortLex order means
-(length, word).
+lexicographically least one: the least left descent i of w (w^{-1}(alpha_i) < 0)
+followed by the word of s_i * w.  ShortLex order means (length, word).
+`enumerate_group` lists W in it by lengths: s_i * w, longer than w and with least
+left descent i, has the word (i,) + w.word, and taking i first, then w in order,
+keeps each length sorted.  `greedy_word` finds the word of any other element.
 
 Non-reduced systems are supported through `nonreduced` marks on simple roots:
 the reflection group is that of the underlying reduced system, and each root in
@@ -264,7 +266,7 @@ class WeylElement:
 
     perm[r] = +(r'+1) if w(alpha_r) = alpha_{r'}, and -(r'+1) if it equals
     -alpha_{r'}.  Equality and hashing go through perm; `word` is the canonical
-    (lex-least) reduced word, computed on demand.
+    (lex-least) reduced word, set by `enumerate_group` or computed on demand.
     """
 
     __slots__ = ("system", "perm", "_len", "_word", "_hash")
@@ -331,9 +333,6 @@ class WeylElement:
         if self._hash is None:
             self._hash = hash(self.perm)
         return self._hash
-
-    def shortlex_key(self):
-        return (self.length, self.word)
 
     def __repr__(self):
         return "<w %s>" % word_str(self)
@@ -504,13 +503,14 @@ def system_from_spec(spec):
     if not isinstance(weights, dict) or not _ints(list(weights.values())):
         raise ValueError('"weights" must map root indices to integers')
     if weights:
-        weights = {int(k): v for k, v in weights.items()}
         roots = len(rs.nondivisible_positive)
-        for r in weights:
-            if not 1 <= r <= roots:
-                raise ValueError("root index %d is not in 1..%d" % (r, roots))
+        for k in weights:
+            if not str(k).isdecimal():
+                raise ValueError("weights key %r is not a root index" % (k,))
+            if not 1 <= int(k) <= roots:
+                raise ValueError("root index %d is not in 1..%d" % (int(k), roots))
         wf = WeightFunction.from_orbit_weights(
-            rs, {r - 1: v for r, v in weights.items()}
+            rs, {int(k) - 1: v for k, v in weights.items()}
         )
     else:
         wf = WeightFunction.unit(rs)
@@ -635,27 +635,27 @@ def weighted_length(w, c):
 
 
 def enumerate_group(rs, cap=DEFAULT_CAP):
-    """All elements of W in ShortLex order; raises CapExceeded past the cap."""
+    """All of W in ShortLex order, words and lengths set; CapExceeded past the cap."""
     if rs._elements is not None and len(rs._elements) <= cap:
         return rs._elements
-    seen = {rs.identity.perm}
-    layer = [rs.identity]
-    out = [rs.identity]
-    while layer:
-        nxt = []
-        for w in layer:
-            for i in range(rs.rank):
-                v = w * rs.simple_reflection(i)
-                if v.perm not in seen:
-                    seen.add(v.perm)
-                    nxt.append(v)
-                    if len(seen) > cap:
-                        raise CapExceeded(
-                            "group has more than %d elements" % cap
-                        )
-        out.extend(nxt)
-        layer = nxt
-    out.sort(key=lambda w: w.shortlex_key())
+    # -(a+1) in w.perm iff w^{-1}(alpha_a) < 0, so stop[i] holds the entries that
+    # rule s_i * w out (shorter than w, or a left descent j < i).  act[i][q] is
+    # s_i on signed root index q (q < 0 from the end); products share its ints.
+    stop = [{-abs(t[r]) for r in rs._simple_index[: i + 1]}
+            for i, t in enumerate(rs._simple_perm)]
+    act = [(0, *t, *(-v for v in reversed(t))) for t in rs._simple_perm]
+    out, start = [rs.identity], 0
+    while start < len(out):
+        layer, start = out[start:], len(out)
+        negs = [{q for q in w.perm if q < 0} for w in layer]
+        for i, a in enumerate(act):
+            for w, p in zip(layer, negs):
+                if p.isdisjoint(stop[i]):
+                    x = WeylElement(rs, tuple([a[q] for q in w.perm]))
+                    x._word, x._len = (i,) + w.word, w.length + 1
+                    out.append(x)
+                    if len(out) > cap:
+                        raise CapExceeded("group has more than %d elements" % cap)
     rs._elements = tuple(out)
     return rs._elements
 

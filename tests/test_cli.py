@@ -40,7 +40,9 @@ def run_main(capsys, *argv):
 # ---------------------------------------------------------------- golden output
 
 # stdout sha256 and exit code of poset and verify commands: a change to how
-# the order is computed or stored must keep these bytes
+# the order is computed or stored must keep these bytes.  The enumerate,
+# compare and components outputs follow the ShortLex order of W (compare's
+# witnesses are the first found in ShortLex loops over u and v).
 GOLDEN = {
     "poset --type A2 --format json":
         ("29f8b06242e69f0069c0188e6c4772d8d4d81cbb0e51d61be76dbcfb1eab67b0", 0),
@@ -72,6 +74,19 @@ GOLDEN = {
         ("b9109f5e5afdc0b8745d4991f53a08c36daa113b38bd43f51fe318304273ff1a", 1),
     "verify --type A3 --suite poset":
         ("5a6cdfaf29f6599ee63283d5400ec7f25aee078871e83a4abf1422d00a83dcf8", 0),
+    "enumerate --type D4 --stratum [1,3]":
+        ("e7f4cd6d2b7639b891b85d4f2245666ba8c7a7d6b301423cbebfc9a1ebf3ca3b", 0),
+    # LEQ (witness u=e, v=2.3)
+    "compare --type B3 I=[2];sigma=3.2.1;tau=1.2.3;rho=e "
+    "I=[2,3];sigma=3.2.1;tau=1;rho=3.2":
+        ("cc4e81bd298205cc030acb968f149d0a9cfbce767e6ca5f5f18682b0dea7826b", 0),
+    # LEQ (witness u=e, v=2.3.2.4.3)
+    "compare --type F4 "
+    "I=[2,4];sigma=2.1.4.3.2.1.3.2.4.3.2.1;tau=1.2.1.3.2.4.3.2.1.3.2.3.4.3.2.1.3;rho=4 "
+    "I=[2,3,4];sigma=2.1.4.3.2.1.3.2.4.3.2.1;tau=2.1.4.3.2.1.3.2.4.3.2.1;rho=3.2.4.3.2.3":
+        ("0fa60d7f7590755af38e03f9f47e4a04180ee6e25d2c1b2e9c7023493030ad4e", 0),
+    "components --type B3 I=[1,2,3];sigma=e;tau=e;rho=1.2.3.2 --stratum [1]":
+        ("bdff60ae5a9bd9201e502db08ccd91a82ce4313f43dbd2dc67b33b45c30c3af2", 0),
 }
 
 
@@ -486,6 +501,7 @@ def test_malformed_group_spec_exits_2(capsys, tmp_path, spec):
         ('"nonreduced": [3]', "nonreduced mark 3 is not a simple index in 1..2"),
         ('"weights": {"0": 2}', "root index 0 is not in 1..3"),
         ('"weights": {"4": 2}', "root index 4 is not in 1..3"),
+        ('"weights": {"x": 2}', "weights key 'x' is not a root index"),
     ],
 )
 def test_group_spec_index_errors_are_one_based(capsys, tmp_path, extra, message):

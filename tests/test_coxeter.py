@@ -1,6 +1,7 @@
 """Root systems, Weyl elements, Bruhat order, cosets, weights."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbits.coxeter import (
     ASCENT_IN_WJ,
@@ -75,6 +76,51 @@ def test_rank_zero():
     assert rs.nondivisible_positive == ()
     assert enumerate_group(rs) == (rs.identity,)
     assert longest_element(rs) == rs.identity
+
+
+# ---------------------------------------------------------------- enumeration
+
+
+def shortlex_reference(rs):
+    """W by a breadth-first search of right products, sorted by (length, word),
+    where each word comes from greedy_word: the order enumerate_group keeps."""
+    seen = {rs.identity.perm}
+    layer = [rs.identity]
+    out = [rs.identity]
+    while layer:
+        nxt = []
+        for w in layer:
+            for i in range(rs.rank):
+                v = w * rs.simple_reflection(i)
+                if v.perm not in seen:
+                    seen.add(v.perm)
+                    nxt.append(v)
+        out.extend(nxt)
+        layer = nxt
+    return sorted(out, key=lambda w: (w.length, w.word))
+
+
+def check_enumeration(name):
+    rs = rs_of(name)
+    W = enumerate_group(rs)
+    assert [w.perm for w in W] == [w.perm for w in shortlex_reference(rs_of(name))]
+    for w in W:
+        assert w.word == greedy_word(w, range(rs.rank))
+        assert w.length == sum(1 for p in w.perm if p < 0)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C3", "D4", "D5", "F4", "G2", "A1xB2"],
+)
+def test_enumeration_matches_shortlex_reference(name):
+    check_enumeration(name)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.sampled_from(["A1", "A2", "A3", "B2", "G2"]), min_size=1, max_size=3))
+def test_enumeration_matches_shortlex_reference_on_products(blocks):
+    check_enumeration("x".join(blocks))
 
 
 def test_simple_roots_are_first_by_height():
@@ -359,7 +405,7 @@ def test_min_coset_reps_are_shortlex_sorted():
     rs = rs_of("B2")
     for J in all_subsets(rs.rank):
         reps = min_coset_reps(rs, J)
-        keys = [w.shortlex_key() for w in reps]
+        keys = [(w.length, w.word) for w in reps]
         assert keys == sorted(keys)
 
 
@@ -499,6 +545,9 @@ def test_cap_exceeded():
     with pytest.raises(CapExceeded):
         enumerate_group(rs2, cap=3)
     assert len(enumerate_group(rs, cap=6)) == 6
+    with pytest.raises(CapExceeded, match="more than 10 elements"):
+        enumerate_group(rs_of("A3"), cap=10)
+    assert len(enumerate_group(rs_of("A3"), cap=24)) == 24
 
 
 def test_tables_respect_cap_after_caching():

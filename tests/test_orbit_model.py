@@ -113,7 +113,7 @@ def test_enumeration_order_is_canonical():
     labels = enumerate_orbits(rs)
 
     def key(O):  # stratum by (size, indices), then ShortLex on sigma, tau, rho
-        return ((len(O.I), O.I), *(w.shortlex_key() for w in (O.sigma, O.tau, O.rho)))
+        return ((len(O.I), O.I), *((w.length, w.word) for w in (O.sigma, O.tau, O.rho)))
 
     assert labels == sorted(labels, key=key)
     # strata appear by (size, indices)
